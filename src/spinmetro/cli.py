@@ -23,7 +23,8 @@ from . import __version__
 from .entanglement import entanglement_depth, squeezing
 from .estimation import (DEFAULT_DOMAIN, DomainError, StatisticalFailure,
                          bayes_monte_carlo, bayes_posterior, mle_monte_carlo,
-                         moments_monte_carlo, posterior_summaries, sample)
+                         moments_monte_carlo, posterior_summaries)
+from .estimation import sample  # noqa: F401  (perfbench/test_perfbench.py reads cli.sample)
 from .fisher import (ProbabilityModel, bound_heisenberg, bound_shot_noise,
                      fisher_information, optimal_axis, povm_number_counting,
                      povm_probe_projection, qfi)
@@ -37,6 +38,9 @@ SCHEMA = "spinmetro-run/1"
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_STATISTICAL = 3
+
+#: largest N for which every command has been run to completion
+N_MAX = 4096
 
 
 class ConfigError(ValueError):
@@ -66,8 +70,8 @@ class RunConfig:
             raise ConfigError(f"unknown command {self.command!r}")
         if not isinstance(self.n_particles, int) or self.n_particles < 1:
             raise ConfigError("n_particles must be a positive integer")
-        if self.n_particles > 4096:
-            raise ConfigError("n_particles beyond desk scale")
+        if self.n_particles > N_MAX:
+            raise ConfigError(f"n_particles above the supported maximum of {N_MAX}")
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be 'csv' or 'json'")
         if not isinstance(self.m, int) or self.m < 0:
@@ -269,8 +273,7 @@ def cmd_bayes(config: RunConfig):
         return results, ("grid_phi", "posterior_density"), rows
     report = bayes_monte_carlo(model, config.theta, config.m, config.trials,
                                config.seed, domain=domain)
-    first = sample(model, config.theta, config.m, config.seed, stream=0)
-    post = bayes_posterior(model, first.outcomes, domain=domain)
+    post = report.first_posterior
     results = {
         "estimator": "bayes",
         "theta_true": report.theta_true,

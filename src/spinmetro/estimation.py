@@ -253,6 +253,17 @@ def bayes_posterior(model: ProbabilityModel, outcomes, domain=DEFAULT_DOMAIN,
     densities; it must be non-negative and normalisable.  With no outcomes
     the posterior is the normalised prior.
     """
+    grid, log_prior, tag = _posterior_grid(domain, prior, grid_points)
+    outcomes = np.asarray(outcomes, dtype=np.int64)
+    if outcomes.size:
+        loglik = log_likelihood(model, outcomes, grid)
+    else:
+        loglik = np.zeros_like(grid)
+    return _normalised_posterior(grid, loglik + log_prior, tag)
+
+
+def _posterior_grid(domain, prior, grid_points: int):
+    """The phase grid, the log prior on it (-inf where it vanishes), and its tag."""
     lo, hi = float(domain[0]), float(domain[1])
     if not lo < hi:
         raise DomainError(f"domain ({lo}, {hi}) is empty")
@@ -270,14 +281,12 @@ def bayes_posterior(model: ProbabilityModel, outcomes, domain=DEFAULT_DOMAIN,
         raise ValueError("prior values must match the grid")
     if np.any(prior_values < 0) or not np.any(prior_values > 0):
         raise ValueError("prior must be non-negative and normalisable")
-
-    outcomes = np.asarray(outcomes, dtype=np.int64)
-    if outcomes.size:
-        loglik = log_likelihood(model, outcomes, grid)
-    else:
-        loglik = np.zeros_like(grid)
     with np.errstate(divide="ignore"):
-        logpost = loglik + np.log(prior_values)
+        log_prior = np.log(prior_values)
+    return grid, log_prior, tag
+
+
+def _normalised_posterior(grid, logpost, tag) -> PosteriorDistribution:
     peak = float(np.max(logpost))
     if not np.isfinite(peak):
         raise StatisticalFailure("posterior underflowed to zero everywhere")
@@ -388,6 +397,7 @@ class BayesReport:
     posterior_variances: np.ndarray
     g_values: np.ndarray
     crlb: float
+    first_posterior: PosteriorDistribution
 
     @property
     def trials(self) -> int:
@@ -406,16 +416,23 @@ class BayesReport:
 def bayes_monte_carlo(model: ProbabilityModel, theta_true: float, m: int, trials: int,
                       seed: int, domain=DEFAULT_DOMAIN, prior=None,
                       grid_points: int = 2048) -> BayesReport:
-    """Sample, build the posterior, and collect variances and G over trials."""
+    """Sample, build the posterior, and collect variances and G over trials.
+
+    The log-probability grid is built once and shared by every trial; the
+    report keeps trial 0's posterior.
+    """
     if trials < 1 or m < 1:
         raise ValueError("m and trials must both be >= 1")
+    grid, log_prior, tag = _posterior_grid(domain, prior, grid_points)
+    logp_grid = np.log(np.clip(model.probability_table(grid), P_FLOOR, None))
     estimates = np.empty(trials)
     variances = np.empty(trials)
     gs = np.empty(trials)
     for t in range(trials):
         draw = sample(model, theta_true, m, seed, stream=t)
-        post = bayes_posterior(model, draw.outcomes, domain=domain, prior=prior,
-                               grid_points=grid_points)
+        post = _normalised_posterior(grid, logp_grid @ draw.counts() + log_prior, tag)
+        if t == 0:
+            first = post
         summary = posterior_summaries(post)
         estimates[t] = summary.mean
         variances[t] = summary.variance
@@ -424,7 +441,7 @@ def bayes_monte_carlo(model: ProbabilityModel, theta_true: float, m: int, trials
     crlb = 1.0 / (m * fi) if fi > 0 else math.inf
     return BayesReport(theta_true=float(theta_true), m=int(m), seed=int(seed),
                        estimates=estimates, posterior_variances=variances,
-                       g_values=gs, crlb=crlb)
+                       g_values=gs, crlb=crlb, first_posterior=first)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .linalg import dagger, eig_hermitian, max_abs, max_eig_sym3
 from .spins import SpinAxis, SpinSpace, op_j, op_jx, op_jy, op_jz
-from .states import MixedState, PureState, State, expectation, variance
+from .states import MixedState, PureState, State, spectral_factor, variance
 
 #: probabilities at or below this are treated as vanishing
 P_FLOOR = 1e-12
@@ -32,69 +32,119 @@ class EigenvalueCrossingError(RuntimeError):
     """Spectral family is not smooth at the requested point and step."""
 
 
-@dataclass(frozen=True)
 class Povm:
-    """Positive-operator valued measure: labelled PSD elements summing to 1."""
+    """Positive-operator valued measure, stored by its structure.
 
-    labels: tuple
-    elements: tuple
+    Outcome eps owns the columns f_j of `vectors` from ``starts[eps]`` up to
+    the next outcome's start, and E(eps) = sum_{j in eps} f_j f_j^dag.  The
+    number-counting and probe-projection factories write the vectors
+    directly.  Dense `elements` are checked (Hermitian, positive
+    semidefinite, resolving the identity) and factorised once through eigh;
+    eigenvectors whose weight is round-off (below dim * eps of the largest)
+    are dropped, but each outcome keeps at least its top eigenvector.
+    """
 
-    def __post_init__(self):
-        if len(self.labels) != len(self.elements) or not self.elements:
+    def __init__(self, labels, elements):
+        if len(labels) != len(elements) or not elements:
             raise ValueError("POVM needs one label per element")
-        mats = tuple(np.asarray(e, dtype=complex) for e in self.elements)
+        mats = [np.asarray(e, dtype=complex) for e in elements]
         dim = mats[0].shape[0]
         total = np.zeros((dim, dim), dtype=complex)
+        columns = []
         for e in mats:
             if e.shape != (dim, dim):
                 raise ValueError("POVM elements must share one square shape")
             if max_abs(e - dagger(e)) > 1e-10:
                 raise ValueError("POVM element is not Hermitian")
-            if float(np.min(np.linalg.eigvalsh(e))) < -1e-10:
+            w, u = np.linalg.eigh(e)
+            if float(w[0]) < -1e-10:
                 raise ValueError("POVM element is not positive semidefinite")
+            keep = w > dim * np.finfo(float).eps * w[-1]
+            keep[-1] = True
+            columns.append(u[:, keep] * np.sqrt(np.clip(w[keep], 0.0, None)))
             total += e
         defect = max_abs(total - np.eye(dim))
         if defect > 1e-10:
             raise ValueError(f"POVM does not resolve the identity: defect {defect:.3e}")
-        object.__setattr__(self, "elements", mats)
-        object.__setattr__(self, "labels", tuple(self.labels))
+        sizes = [f.shape[1] for f in columns]
+        self._set(labels, np.hstack(columns), np.cumsum([0] + sizes[:-1]))
+
+    @classmethod
+    def _from_vectors(cls, labels, vectors: np.ndarray, starts) -> "Povm":
+        """POVM from vectors that resolve the identity by construction."""
+        povm = cls.__new__(cls)
+        povm._set(labels, vectors, starts)
+        return povm
+
+    def _set(self, labels, vectors, starts) -> None:
+        vectors = np.asarray(vectors, dtype=complex)
+        starts = np.asarray(starts, dtype=np.intp)
+        vectors.setflags(write=False)
+        starts.setflags(write=False)
+        self.labels = tuple(labels)
+        self.vectors = vectors
+        self.starts = starts
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.vectors.shape[0]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.labels)
+
+    def sizes(self) -> np.ndarray:
+        """Number of vectors per outcome."""
+        return np.diff(self.starts, append=self.vectors.shape[1])
+
+    @property
+    def elements(self) -> tuple:
+        """Dense E(eps), built on demand for inspection; evaluation never needs them."""
+        ends = self.starts + self.sizes()
+        return tuple(self.vectors[:, a:b] @ dagger(self.vectors[:, a:b])
+                     for a, b in zip(self.starts, ends))
 
 
 def povm_number_counting(space: SpinSpace) -> Povm:
-    """Particle-number measurement: the N+1 Dicke projectors |j,mu><j,mu|."""
+    """Particle-number measurement: the Dicke basis |j,mu>, one vector per outcome."""
     labels = tuple(float(m) for m in space.mu)
-    elements = []
-    for idx in range(space.dim):
-        e = np.zeros((space.dim, space.dim), dtype=complex)
-        e[idx, idx] = 1.0
-        elements.append(e)
-    return Povm(labels=labels, elements=tuple(elements))
+    return Povm._from_vectors(labels, np.eye(space.dim, dtype=complex),
+                              np.arange(space.dim))
 
 
 def povm_probe_projection(probe: PureState) -> Povm:
-    """Two-element POVM: projector on the probe and on its orthogonal complement."""
-    p0 = probe.density_matrix()
-    return Povm(labels=("probe", "orthogonal"),
-                elements=(p0, np.eye(probe.space.dim) - p0))
+    """Two outcomes: the probe, and its orthogonal complement ("orthogonal").
+
+    The vectors are the columns of the Householder reflection that maps |0>
+    onto the probe (up to a global phase), so the first column spans the
+    probe and the others complete it to an orthonormal basis in O(dim^2).
+    """
+    psi = probe.amplitudes
+    # the reflection maps |0> to phase * psi; this phase makes u[0] = 1 + |psi_0|,
+    # so forming u never cancels
+    phase = -abs(psi[0]) / psi[0] if psi[0] != 0 else -1.0
+    u = -phase * psi
+    u[0] += 1.0
+    reflection = np.eye(probe.space.dim, dtype=complex) \
+        - (2.0 / np.vdot(u, u).real) * np.outer(u, u.conj())
+    return Povm._from_vectors(("probe", "orthogonal"), reflection, [0, 1])
 
 
 class ProbabilityModel:
     """theta -> outcome probability table for (probe, axis, POVM).
 
-    Evaluation runs in the eigenbasis of the generator: with
-    J_n = V diag(lam) V^dag, rho~ = V^dag rho0 V and E~ = V^dag E V,
+    With J_n = V diag(lam) V^dag, rho0 = sum_r p_r |phi_r><phi_r| over the
+    eigenvectors with p_r > 0 (one term for a pure probe) and the POVM
+    vectors f_j, every table comes from the amplitudes
 
-        P(eps|theta) = sum_{kl} E~(eps)_{lk} rho~_{kl} e^{-i theta (lam_k - lam_l)},
+        a_{r,j}(theta) = f_j^dag V e^{-i theta lam} V^dag sqrt(p_r) phi_r,
 
-    so whole theta grids are vectorised over the phase factors.  Instances
-    are immutable after construction and safe to share between threads.
+        P(eps|theta) = sum_r sum_{j in eps} |a_{r,j}|^2,
+        dP/dtheta    = sum_r sum_{j in eps} 2 Re(a_{r,j}^* da_{r,j}/dtheta),
+
+    with da/dtheta from the same phases times -i lam.  A table over T angles
+    costs O(T R M dim) time for probe rank R and M POVM vectors, and
+    O(M dim) memory.  Instances are immutable after construction and safe
+    to share between threads.
     """
 
     def __init__(self, probe: State, axis, povm: Povm):
@@ -108,15 +158,12 @@ class ProbabilityModel:
         self.generator = op_j(probe.space, axis)
         dec = eig_hermitian(self.generator)
         v = dec.eigenvectors
-        self._spectrum = dec
-        rho_t = dagger(v) @ probe.density_matrix() @ v
-        lam = dec.eigenvalues
-        self._gaps = (lam[:, None] - lam[None, :]).ravel()
-        coeffs = []
-        for e in povm.elements:
-            e_t = dagger(v) @ e @ v
-            coeffs.append((e_t.T * rho_t).ravel())
-        self._coeffs = np.array(coeffs)  # (n_outcomes, dim*dim)
+        self._lam = dec.eigenvalues
+        self._minus_i_lam = -1j * dec.eigenvalues
+        # rows V^dag sqrt(p_r) phi_r: the probe in the generator's eigenbasis
+        self._probe_rows = (dagger(v) @ spectral_factor(probe)).T
+        # (F^dag V)^T: phased probe rows times it give the amplitudes a_{r,j}
+        self._povm_basis = (dagger(povm.vectors) @ v).T
 
     @property
     def outcome_labels(self) -> tuple:
@@ -126,28 +173,35 @@ class ProbabilityModel:
     def n_outcomes(self) -> int:
         return len(self.povm)
 
-    def probability_table(self, thetas) -> np.ndarray:
-        """(len(thetas), n_outcomes) table; tiny negative round-off clamped to 0."""
+    def _table(self, thetas, derivative: bool) -> np.ndarray:
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        phases = np.exp(-1j * thetas[:, None] * self._gaps[None, :])
-        table = (phases @ self._coeffs.T).real
-        sums = table.sum(axis=1)
-        worst = float(np.max(np.abs(sums - 1.0)))
+        phases = np.exp(-1j * np.outer(thetas, self._lam))
+        table = np.zeros((thetas.size, self._povm_basis.shape[1]))
+        for row in self._probe_rows:
+            x = phases * row
+            a = x @ self._povm_basis
+            if derivative:
+                da = (x * self._minus_i_lam) @ self._povm_basis
+                table += a.real * da.real + a.imag * da.imag
+            else:
+                table += a.real ** 2 + a.imag ** 2
+        table = np.add.reduceat(table, self.povm.starts, axis=1)
+        return 2.0 * table if derivative else table
+
+    def probability_table(self, thetas) -> np.ndarray:
+        """(len(thetas), n_outcomes) table, non-negative by construction."""
+        table = self._table(thetas, derivative=False)
+        worst = float(np.max(np.abs(table.sum(axis=1) - 1.0)))
         if worst > 1e-10:
             raise RuntimeError(f"probabilities do not normalise: defect {worst:.3e}")
-        if float(table.min()) < -1e-12:
-            raise RuntimeError(f"probability below -1e-12: {float(table.min()):.3e}")
-        return np.clip(table, 0.0, None)
+        return table
 
     def probabilities(self, theta: float) -> np.ndarray:
         return self.probability_table([theta])[0]
 
     def derivative_table(self, thetas) -> np.ndarray:
         """dP/dtheta rows; analytic, equals Tr[E (-i)[J_n, rho(theta)]]."""
-        thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        phases = np.exp(-1j * thetas[:, None] * self._gaps[None, :])
-        phases = phases * (-1j * self._gaps)[None, :]
-        return (phases @ self._coeffs.T).real
+        return self._table(thetas, derivative=True)
 
     def derivatives(self, theta: float) -> np.ndarray:
         return self.derivative_table([theta])[0]
@@ -382,15 +436,19 @@ def _check_bound_args(n, m, h_range):
 
 
 def povm_diagonal_coefficients(povm: Povm, observable: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Coefficients c_eps with M = sum_eps c_eps E(eps); rejects other observables."""
+    """Coefficients c_eps with M = sum_eps c_eps E(eps); rejects other observables.
+
+    c_eps = Tr[M E(eps)] / Tr[E(eps)], read off the POVM vectors as
+    sum_{j in eps} f_j^dag M f_j over sum_{j in eps} |f_j|^2.
+    """
     observable = np.asarray(observable, dtype=complex)
-    coeffs = np.empty(len(povm))
-    for i, e in enumerate(povm.elements):
-        tr = float(np.trace(e).real)
-        if tr <= 0:
-            raise ValueError("POVM element with non-positive trace")
-        coeffs[i] = float(np.trace(observable @ e).real) / tr
-    recon = sum(c * e for c, e in zip(coeffs, povm.elements))
+    f = povm.vectors
+    diag = np.sum(f.conj() * (observable @ f), axis=0).real
+    tr = np.add.reduceat(np.sum(f.real ** 2 + f.imag ** 2, axis=0), povm.starts)
+    if np.any(tr <= 0):
+        raise ValueError("POVM element with non-positive trace")
+    coeffs = np.add.reduceat(diag, povm.starts) / tr
+    recon = (f * np.repeat(coeffs, povm.sizes())) @ dagger(f)
     defect = max_abs(observable - recon)
     if defect > tol:
         raise ValueError(
@@ -449,12 +507,11 @@ def optimal_axis(probe: State, p_floor: float = P_FLOOR) -> tuple[SpinAxis, floa
         if isinstance(probe, MixedState):
             top = probe.spectrum.eigenvectors[:, -1]
             probe = PureState(space, top / np.linalg.norm(top))
-        c = np.empty((3, 3))
-        means = [expectation(probe, o).real for o in ops]
-        for i in range(3):
-            for jx in range(3):
-                sym = expectation(probe, ops[i] @ ops[jx] + ops[jx] @ ops[i]).real / 2.0
-                c[i, jx] = sym - means[i] * means[jx]
+        psi = probe.amplitudes
+        moved = np.stack([o @ psi for o in ops], axis=1)  # columns J_i psi
+        means = (psi.conj() @ moved).real
+        # Re <J_i psi|J_j psi> = <{J_i, J_j}>/2 for Hermitian J_i
+        c = (dagger(moved) @ moved).real - np.outer(means, means)
         c = 0.5 * (c + c.T)
     lam, n_max = max_eig_sym3(c)
     return SpinAxis(tuple(n_max)), 4.0 * lam

@@ -102,18 +102,31 @@ def density_matrix(state: State) -> np.ndarray:
     return state.density_matrix()
 
 
+def spectral_factor(state: State) -> np.ndarray:
+    """Columns sqrt(p_r) phi_r over the eigenvectors with p_r > 0, so rho = B B^dag.
+
+    A pure state is its own single column.
+    """
+    if isinstance(state, PureState):
+        return state.amplitudes[:, None]
+    dec = state.spectrum
+    keep = dec.eigenvalues > 0
+    return dec.eigenvectors[:, keep] * np.sqrt(dec.eigenvalues[keep])
+
+
 def expectation(state: State, operator: np.ndarray) -> complex:
     """<A> on a pure or mixed state (complex in general)."""
     if isinstance(state, PureState):
         return complex(state.amplitudes.conj() @ (operator @ state.amplitudes))
-    return complex(np.trace(state.rho @ operator))
+    return complex(np.sum(state.rho * operator.T))
 
 
 def variance(state: State, operator: np.ndarray) -> float:
-    """(Delta A)^2 for a Hermitian operator."""
-    mean = expectation(state, operator).real
-    second = expectation(state, operator @ operator).real
-    return second - mean * mean
+    """(Delta A)^2 for a Hermitian operator: |A B|^2 - <A>^2 with rho = B B^dag."""
+    b = spectral_factor(state)
+    moved = operator @ b
+    mean = np.vdot(b, moved).real
+    return float(np.vdot(moved, moved).real - mean * mean)
 
 
 def fock(space: SpinSpace, mu: float) -> PureState:
@@ -140,18 +153,24 @@ def coherent_spin(space: SpinSpace, polar: float, azimuth: float = 0.0) -> PureS
     """Coherent spin state: |j, +j> rotated to the (polar, azimuth) direction.
 
     Amplitudes are binomial, c_mu = sqrt(C(N, j+mu)) cos^{j+mu}(polar/2)
-    sin^{j-mu}(polar/2) e^{i(j-mu)*azimuth} up to the global phase convention;
+    sin^{j-mu}(polar/2) e^{i(j-mu)*azimuth} up to the global phase convention,
+    built in log space so that the binomial and the powers never overflow or
+    underflow on their own at large N;
     the mean spin has length N/2 and points along
     (sin polar cos azimuth, sin polar sin azimuth, cos polar).
     """
     n = space.n_particles
     half = 0.5 * polar
     c, s = math.cos(half), math.sin(half)
-    amp = np.empty(space.dim, dtype=complex)
-    for idx in range(space.dim):
-        k = idx  # j + mu
-        mag = math.sqrt(math.comb(n, k)) * c**k * s ** (n - k)
-        amp[idx] = mag * np.exp(1j * (n - k) * azimuth)
+    k = np.arange(n + 1)  # j + mu
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # log|C(N,k)^(1/2) c^k s^(N-k)|, with 0 * log 0 = 0 at the poles
+        log_mag = (0.5 * (log_fact[n] - log_fact - log_fact[::-1])
+                   + np.where(k > 0, k * np.log(abs(c)), 0.0)
+                   + np.where(k < n, (n - k) * np.log(abs(s)), 0.0))
+    sign = np.sign(c) ** k * np.sign(s) ** (n - k)
+    amp = sign * np.exp(log_mag) * np.exp(1j * (n - k) * azimuth)
     amp = amp / np.linalg.norm(amp)
     return PureState(space, _fix_global_phase(amp))
 

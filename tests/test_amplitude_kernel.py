@@ -1,0 +1,152 @@
+"""The amplitude kernel of ProbabilityModel against a dense reference and closed forms."""
+
+import math
+
+import numpy as np
+import pytest
+
+from spinmetro.fisher import (Povm, ProbabilityModel, fisher_information,
+                              povm_diagonal_coefficients, povm_number_counting,
+                              povm_probe_projection, qfi)
+from spinmetro.linalg import dagger, max_abs
+from spinmetro.spins import SpinAxis, SpinSpace, op_j, op_jz, rotation
+from spinmetro.states import (MixedState, PureState, coherent_spin, fock,
+                              noon, twin_fock)
+
+THETAS = np.array([-1.9, -0.4, 0.0, 0.37, 1.2, 2.6])
+
+
+def dense_tables(probe, axis, elements, thetas):
+    """P = Tr[E U rho U^dag] and dP = Tr[E (-i)[J_n, U rho U^dag]], densely."""
+    h = op_j(probe.space, axis)
+    rho0 = probe.density_matrix()
+    probs, derivs = [], []
+    for theta in thetas:
+        u = rotation(probe.space, axis, float(theta))
+        rho = u @ rho0 @ dagger(u)
+        drho = -1j * (h @ rho - rho @ h)
+        probs.append([np.trace(e @ rho).real for e in elements])
+        derivs.append([np.trace(e @ drho).real for e in elements])
+    return np.array(probs), np.array(derivs)
+
+
+def random_pure(rng, space):
+    amp = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    return PureState(space, amp / np.linalg.norm(amp))
+
+
+def random_mixed(rng, space):
+    weights = rng.random(3)
+    weights /= weights.sum()
+    rho = sum(w * random_pure(rng, space).density_matrix() for w in weights)
+    return MixedState(space, rho)
+
+
+def random_projective(rng, space):
+    a = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
+    q, _ = np.linalg.qr(a)
+    return [np.outer(q[:, k], q[:, k].conj()) for k in range(space.dim)]
+
+
+def smeared_counting(rng, space):
+    """Counting followed by a column-stochastic channel, plus one never-seen outcome."""
+    s = rng.random((space.dim + 1, space.dim)) ** 2
+    s[-1] = 0.0
+    s /= s.sum(axis=0)
+    return [np.diag(row).astype(complex) for row in s]
+
+
+def build_case(rng, n, probe_kind, povm_kind):
+    space = SpinSpace(n)
+    probe = random_pure(rng, space) if probe_kind == "pure" else random_mixed(rng, space)
+    if povm_kind == "counting":
+        povm = povm_number_counting(space)
+    elif povm_kind == "projection":
+        target = probe if isinstance(probe, PureState) else random_pure(rng, space)
+        povm = povm_probe_projection(target)
+    else:
+        make = random_projective if povm_kind == "rank-one" else smeared_counting
+        elements = make(rng, space)
+        povm = Povm(labels=tuple(range(len(elements))), elements=elements)
+    axis = SpinAxis(tuple(rng.normal(size=3)))
+    return probe, axis, povm
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+@pytest.mark.parametrize("probe_kind", ["pure", "mixed"])
+@pytest.mark.parametrize("povm_kind", ["counting", "projection", "rank-one", "smeared"])
+def test_tables_match_dense_reference(n, probe_kind, povm_kind):
+    rng = np.random.default_rng([n, len(probe_kind), len(povm_kind)])
+    probe, axis, povm = build_case(rng, n, probe_kind, povm_kind)
+    model = ProbabilityModel(probe, axis, povm)
+    ref_p, ref_dp = dense_tables(probe, axis, povm.elements, THETAS)
+    assert max_abs(model.probability_table(THETAS) - ref_p) < 1e-12
+    assert max_abs(model.derivative_table(THETAS) - ref_dp) < 1e-12
+
+
+def test_dense_povm_factorisation_keeps_its_elements():
+    rng = np.random.default_rng(5)
+    space = SpinSpace(5)
+    elements = smeared_counting(rng, space)
+    povm = Povm(labels=tuple(range(len(elements))), elements=elements)
+    assert len(povm) == len(elements)
+    for given, rebuilt in zip(elements, povm.elements):
+        assert max_abs(given - rebuilt) < 1e-14
+
+
+@pytest.mark.parametrize("mu", [-1.5, 0.5])
+def test_projection_vectors_for_basis_state_probes(mu):
+    # the Householder completion must not cancel when the probe is |0> itself
+    space = SpinSpace(3)
+    probe = fock(space, mu)
+    projector, complement = povm_probe_projection(probe).elements
+    assert max_abs(projector - probe.density_matrix()) < 1e-15
+    assert max_abs(complement - (np.eye(space.dim) - probe.density_matrix())) < 1e-15
+
+
+def test_rejects_non_hermitian_element():
+    with pytest.raises(ValueError, match="Hermitian"):
+        Povm(labels=("a", "b"),
+             elements=(np.array([[1.0, 0.5], [0.0, 0.0]]), np.diag([0.0, 1.0])))
+
+
+def test_diagonal_coefficients_read_from_vectors():
+    space = SpinSpace(6)
+    jz = op_jz(space)
+    assert np.array_equal(povm_diagonal_coefficients(povm_number_counting(space), jz),
+                          space.mu)
+    probe = noon(space)
+    observable = 2.0 * probe.density_matrix() - 0.5 * (np.eye(space.dim) - probe.density_matrix())
+    assert np.allclose(povm_diagonal_coefficients(povm_probe_projection(probe), observable),
+                       [2.0, -0.5], atol=1e-14)
+
+
+class TestLargeN:
+    N = 1000
+
+    def test_rotated_coherent_state_is_binomial(self):
+        # exp(-i theta J_y) takes the x-polarised state to polar angle pi/2 + theta
+        n = self.N
+        space = SpinSpace(n)
+        model = ProbabilityModel(coherent_spin(space, math.pi / 2), "y",
+                                 povm_number_counting(space))
+        for theta in (0.3, 1.1):
+            c, s = math.cos(math.pi / 4 + theta / 2), math.sin(math.pi / 4 + theta / 2)
+            binomial = np.array([
+                math.exp(math.log(math.comb(n, k)) + 2 * k * math.log(c)
+                         + 2 * (n - k) * math.log(s))
+                for k in range(n + 1)
+            ])
+            assert max_abs(model.probabilities(theta) - binomial) < 1e-12
+            assert fisher_information(model, theta).fi == pytest.approx(n, rel=1e-8)
+
+    def test_twin_fock_qfi(self):
+        n = self.N
+        assert qfi(twin_fock(SpinSpace(n)), "y") == pytest.approx(n * n / 2 + n, rel=1e-12)
+
+    def test_noon_projection_heisenberg(self):
+        n = self.N
+        probe = noon(SpinSpace(n))
+        model = ProbabilityModel(probe, "z", povm_probe_projection(probe))
+        for theta in (0.3 * math.pi / n, 0.77 * math.pi / n):
+            assert fisher_information(model, theta).fi == pytest.approx(n * n, rel=1e-8)

@@ -3,8 +3,8 @@ import math
 
 import pytest
 
-from spinmetro.cli import (EXIT_CONFIG, EXIT_OK, EXIT_STATISTICAL, RunConfig,
-                           build_parser, config_from_args, main, run)
+from spinmetro.cli import (EXIT_CONFIG, EXIT_OK, EXIT_STATISTICAL, N_MAX,
+                           RunConfig, build_parser, config_from_args, main, run)
 
 
 def run_cli(tmp_path, *argv, out_name=None):
@@ -151,6 +151,12 @@ class TestWitnessCommands:
         assert results["xi_r_squared"] == pytest.approx(1.0, abs=1e-10)
         assert results["xi_r_prime_squared"] == pytest.approx(1.0, abs=1e-10)
 
+    def test_css_squeeze_unity_beyond_float_binomials(self, tmp_path):
+        code, text = run_cli(tmp_path, "squeeze", "--n", "1100", "--probe", "css",
+                             out_name="squeeze.json")
+        assert code == EXIT_OK
+        assert json.loads(text)["results"]["xi_r_squared"] == pytest.approx(1.0, abs=1e-10)
+
 
 class TestQfiCommand:
     def test_noon_optimal_axis(self, tmp_path):
@@ -201,6 +207,11 @@ class TestValidation:
     def test_bad_n_exits_2(self, tmp_path):
         code, _ = run_cli(tmp_path, "bounds", "--n", "0", out_name="x.json")
         assert code == EXIT_CONFIG
+
+    def test_n_above_cap_exits_2(self, tmp_path, capsys):
+        code, _ = run_cli(tmp_path, "bounds", "--n", str(N_MAX + 1), out_name="x.json")
+        assert code == EXIT_CONFIG
+        assert str(N_MAX) in capsys.readouterr().err
 
     def test_bad_seed_rejected(self):
         config = RunConfig(command="bounds", seed=-3)

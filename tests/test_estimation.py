@@ -255,6 +255,15 @@ class TestBayes:
         assert rep.mean_posterior_variance == pytest.approx(1 / 300, rel=0.5)
         assert rep.bound_g2 <= rep.mean_posterior_variance * 1.05
 
+    def test_first_posterior_equals_stream_zero_posterior(self, ramsey_model):
+        rep = bayes_monte_carlo(ramsey_model, 0.6, m=200, trials=3, seed=41,
+                                domain=(0.0, 1.5))
+        draw = sample(ramsey_model, 0.6, 200, seed=41, stream=0)
+        post = bayes_posterior(ramsey_model, draw.outcomes, domain=(0.0, 1.5))
+        assert np.array_equal(rep.first_posterior.grid, post.grid)
+        assert np.array_equal(rep.first_posterior.density, post.density)
+        assert rep.estimates[0] == posterior_summaries(post).mean
+
     def test_posterior_csv_export(self, qubit_model, tmp_path):
         post = bayes_posterior(qubit_model, [1, 1, 0], domain=(0.0, math.pi),
                                grid_points=64)

@@ -66,6 +66,14 @@ class TestCoherentSpin:
         ])
         assert np.allclose(mean, (space.n_particles / 2) * direction, atol=1e-10)
 
+    def test_large_n_equator_is_normalised_binomial(self):
+        # C(2000, k) overflows a float; the exact integer ratio does not
+        n = 2000
+        state = coherent_spin(SpinSpace(n), math.pi / 2)
+        expected = np.array([math.comb(n, k) / 2**n for k in range(n + 1)])
+        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-14)
+        assert max_abs(np.abs(state.amplitudes) ** 2 - expected) < 1e-13
+
     def test_phase_convention(self):
         state = coherent_spin(SpinSpace(5), 1.1, 0.9)
         first = state.amplitudes[np.flatnonzero(np.abs(state.amplitudes) > 1e-12)[0]]
