@@ -28,7 +28,7 @@ from .estimation import sample  # noqa: F401  (perfbench/test_perfbench.py reads
 from .fisher import (ProbabilityModel, bound_heisenberg, bound_shot_noise,
                      fisher_information, optimal_axis, povm_number_counting,
                      povm_probe_projection, qfi)
-from .reporting import csv_text, json_safe
+from .reporting import csv_text, json_safe, posterior_table, trial_table
 from .spins import SpinAxis, SpinSpace, op_j, op_jz
 from .states import (PureState, coherent_spin, fock, ghz_along, mix, noon,
                      state_from_json, twin_fock, variance)
@@ -252,8 +252,7 @@ def cmd_mle(config: RunConfig):
         "boundary_fraction": report.boundary_fraction,
         "estimates": report.estimates,
     }
-    rows = [(t, e) for t, e in enumerate(report.estimates)]
-    return results, ("trial", "estimate"), rows
+    return results, *trial_table(report.estimates)
 
 
 def cmd_bayes(config: RunConfig):
@@ -269,8 +268,7 @@ def cmd_bayes(config: RunConfig):
             "posterior_mean": summary.mean, "posterior_variance": summary.variance,
             "prior": post.prior_tag,
         }
-        rows = list(zip(post.grid, post.density))
-        return results, ("grid_phi", "posterior_density"), rows
+        return results, *posterior_table(post)
     report = bayes_monte_carlo(model, config.theta, config.m, config.trials,
                                config.seed, domain=domain)
     post = report.first_posterior
@@ -286,8 +284,7 @@ def cmd_bayes(config: RunConfig):
         "estimates": report.estimates,
         "posterior_variances": report.posterior_variances,
     }
-    rows = list(zip(post.grid, post.density))
-    return results, ("grid_phi", "posterior_density"), rows
+    return results, *posterior_table(post)
 
 
 def cmd_moments(config: RunConfig):
@@ -310,9 +307,7 @@ def cmd_moments(config: RunConfig):
         "estimates": report.estimates,
         "variance_predictions": predictions,
     }
-    rows = [(t, e, v) for t, (e, v) in
-            enumerate(zip(report.estimates, predictions))]
-    return results, ("trial", "estimate", "variance_prediction"), rows
+    return results, *trial_table(report.estimates, predictions)
 
 
 def cmd_depth(config: RunConfig):

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fisher import P_FLOOR, ProbabilityModel, fisher_information, povm_diagonal_coefficients
+from .fisher import (P_FLOOR, ProbabilityModel, _vecdot, fisher_information,
+                     moment_statistics, povm_diagonal_coefficients)
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -28,6 +29,13 @@ class StatisticalFailure(RuntimeError):
 
 class DomainError(ValueError):
     """The requested estimation domain violates a precondition."""
+
+
+def _interval(domain) -> tuple[float, float]:
+    lo, hi = float(domain[0]), float(domain[1])
+    if not lo < hi:
+        raise DomainError(f"domain ({lo}, {hi}) is empty")
+    return lo, hi
 
 
 def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:
@@ -82,16 +90,17 @@ def sample(model: ProbabilityModel, theta_true: float, m: int, seed: int,
                          outcomes=outcomes, seed=int(seed), stream=int(stream))
 
 
+def _log_table(model: ProbabilityModel, thetas, p_floor: float = P_FLOOR) -> np.ndarray:
+    return np.log(np.clip(model.probability_table(thetas), p_floor, None))
+
+
 def log_likelihood(model: ProbabilityModel, outcomes, phi, p_floor: float = P_FLOOR):
     """L(eps|phi) = sum_i ln P(eps_i|phi), probabilities floored at p_floor.
 
     `phi` may be a scalar or an array; the result matches its shape.
     """
-    outcomes = np.asarray(outcomes, dtype=np.int64)
-    counts = np.bincount(outcomes, minlength=model.n_outcomes)
-    phis = np.atleast_1d(np.asarray(phi, dtype=float))
-    logp = np.log(np.clip(model.probability_table(phis), p_floor, None))
-    values = logp @ counts
+    counts = np.bincount(np.asarray(outcomes, dtype=np.int64), minlength=model.n_outcomes)
+    values = _log_table(model, phi, p_floor) @ counts
     return float(values[0]) if np.isscalar(phi) or np.ndim(phi) == 0 else values
 
 
@@ -102,35 +111,45 @@ class MleEstimate:
     boundary: bool
 
 
-def _golden_max(f, a: float, b: float, tol: float) -> float:
+#: trials per block of the grid stage, bounding its (trials x grid) scratch
+_GRID_BLOCK = 256
+
+
+def _mle_refine(model, counts, domain, grid_points, refine_tol):
+    """Row-wise MLE of a (trials, outcomes) count matrix.
+
+    The grid stage takes one product per block of trials.  Golden-section
+    search then refines every trial at once, one table call per step over
+    the trials whose bracket is still wider than `refine_tol`.  Returns the
+    estimates, their log-likelihoods and the boundary flags.
+    """
+    lo, hi = _interval(domain)
+    grid = np.linspace(lo, hi, grid_points)
+    logp_grid = _log_table(model, grid)
+    best = np.concatenate([np.argmax(counts[i:i + _GRID_BLOCK] @ logp_grid.T, axis=1)
+                           for i in range(0, len(counts), _GRID_BLOCK)])
+    a = grid[np.maximum(best - 1, 0)]
+    b = grid[np.minimum(best + 1, grid_points - 1)]
+
+    def objective(thetas, rows=slice(None)):
+        return _vecdot(_log_table(model, thetas), counts[rows])
+
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-    return 0.5 * (a + b)
-
-
-def _mle_from_counts(model, counts, domain, grid, logp_grid, refine_tol):
-    values = logp_grid @ counts
-    i = int(np.argmax(values))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-
-    def objective(phi):
-        return float(np.log(np.clip(model.probabilities(phi), P_FLOOR, None)) @ counts)
-
-    est = _golden_max(objective, lo, hi, refine_tol)
-    boundary = est - domain[0] < 2 * refine_tol or domain[1] - est < 2 * refine_tol
-    return MleEstimate(theta=float(est), log_likelihood=objective(est), boundary=boundary)
+    fc, fd = objective(c), objective(d)
+    while (rows := np.flatnonzero(b - a > refine_tol)).size:
+        right = fc[rows] < fd[rows]
+        up, down = rows[right], rows[~right]
+        a[up], c[up], fc[up] = c[up], d[up], fd[up]
+        b[down], d[down], fd[down] = d[down], c[down], fc[down]
+        d[up] = a[up] + invphi * (b[up] - a[up])
+        c[down] = b[down] - invphi * (b[down] - a[down])
+        fresh = objective(np.where(right, d[rows], c[rows]), rows)
+        fd[up], fc[down] = fresh[right], fresh[~right]
+    est = 0.5 * (a + b)
+    boundary = (est - lo < 2 * refine_tol) | (hi - est < 2 * refine_tol)
+    return est, objective(est), boundary
 
 
 def mle(model: ProbabilityModel, outcomes, domain=DEFAULT_DOMAIN,
@@ -140,14 +159,10 @@ def mle(model: ProbabilityModel, outcomes, domain=DEFAULT_DOMAIN,
     The domain must be an interval on which the model is identifiable; a
     maximum on the domain boundary is flagged but still returned.
     """
-    lo, hi = float(domain[0]), float(domain[1])
-    if not lo < hi:
-        raise DomainError(f"domain ({lo}, {hi}) is empty")
-    outcomes = np.asarray(outcomes, dtype=np.int64)
-    counts = np.bincount(outcomes, minlength=model.n_outcomes)
-    grid = np.linspace(lo, hi, grid_points)
-    logp_grid = np.log(np.clip(model.probability_table(grid), P_FLOOR, None))
-    return _mle_from_counts(model, counts, (lo, hi), grid, logp_grid, refine_tol)
+    counts = np.bincount(np.asarray(outcomes, dtype=np.int64), minlength=model.n_outcomes)
+    (est,), (loglik,), (boundary,) = _mle_refine(model, counts[None, :], domain,
+                                                 grid_points, refine_tol)
+    return MleEstimate(theta=float(est), log_likelihood=float(loglik), boundary=bool(boundary))
 
 
 @dataclass(frozen=True)
@@ -193,29 +208,30 @@ class EstimationReport:
         return self.mean - self.theta_true
 
 
+def _count_matrix(model: ProbabilityModel, theta_true: float, m: int, trials: int,
+                  seed: int) -> np.ndarray:
+    """(trials, outcomes) outcome counts; row t is `sample` on Philox stream t."""
+    if trials < 1 or m < 1:
+        raise ValueError("m and trials must both be >= 1")
+    return np.array([sample(model, theta_true, m, seed, stream=t).counts()
+                     for t in range(trials)])
+
+
+def _crlb(model: ProbabilityModel, theta_true: float, m: int) -> float:
+    fi = fisher_information(model, theta_true).fi
+    return 1.0 / (m * fi) if fi > 0 else math.inf
+
+
 def mle_monte_carlo(model: ProbabilityModel, theta_true: float, m: int, trials: int,
                     seed: int, domain=DEFAULT_DOMAIN, grid_points: int = 512,
                     refine_tol: float = 1e-7) -> EstimationReport:
-    """Repeat (sample, mle) over independent streams; compare with 1/(m F)."""
-    if trials < 1 or m < 1:
-        raise ValueError("m and trials must both be >= 1")
-    lo, hi = float(domain[0]), float(domain[1])
-    if not lo < hi:
-        raise DomainError(f"domain ({lo}, {hi}) is empty")
-    grid = np.linspace(lo, hi, grid_points)
-    logp_grid = np.log(np.clip(model.probability_table(grid), P_FLOOR, None))
-    estimates = np.empty(trials)
-    boundary = 0
-    for t in range(trials):
-        draw = sample(model, theta_true, m, seed, stream=t)
-        est = _mle_from_counts(model, draw.counts(), (lo, hi), grid, logp_grid, refine_tol)
-        estimates[t] = est.theta
-        boundary += est.boundary
-    fi = fisher_information(model, theta_true).fi
-    crlb = 1.0 / (m * fi) if fi > 0 else math.inf
+    """MLE of every trial's counts at once; compare the spread with 1/(m F)."""
+    counts = _count_matrix(model, theta_true, m, trials, seed)
+    estimates, _, boundary = _mle_refine(model, counts, domain, grid_points, refine_tol)
     return EstimationReport(
         estimator="mle", theta_true=float(theta_true), m=int(m), seed=int(seed),
-        estimates=estimates, crlb=crlb, boundary_fraction=boundary / trials,
+        estimates=estimates, crlb=_crlb(model, theta_true, m),
+        boundary_fraction=int(np.count_nonzero(boundary)) / trials,
     )
 
 
@@ -264,10 +280,7 @@ def bayes_posterior(model: ProbabilityModel, outcomes, domain=DEFAULT_DOMAIN,
 
 def _posterior_grid(domain, prior, grid_points: int):
     """The phase grid, the log prior on it (-inf where it vanishes), and its tag."""
-    lo, hi = float(domain[0]), float(domain[1])
-    if not lo < hi:
-        raise DomainError(f"domain ({lo}, {hi}) is empty")
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(*_interval(domain), grid_points)
     if prior is None:
         prior_values = np.ones_like(grid)
         tag = "flat"
@@ -339,6 +352,8 @@ def posterior_summaries(post: PosteriorDistribution, point: str = "mean",
     else:
         for _ in range(200):
             mid = 0.5 * (lo_d + hi_d)
+            if not lo_d < mid < hi_d:  # the bracket cannot shrink any further
+                break
             if contained(mid) < mass:
                 lo_d = mid
             else:
@@ -349,7 +364,7 @@ def posterior_summaries(post: PosteriorDistribution, point: str = "mean",
                             point_estimate=point)
 
 
-class BorderSupportError(ValueError):
+class BorderSupportError(StatisticalFailure):
     """The posterior does not vanish at the domain borders."""
 
 
@@ -377,7 +392,7 @@ def bayes_variance_bound(post: PosteriorDistribution, border_tol: float = 1e-8,
     if g <= 0:
         raise StatisticalFailure("degenerate posterior: G evaluated to zero")
     bound = 1.0 / g
-    var = posterior_summaries(post).variance
+    var = float(_trapz((x - float(_trapz(x * f, x))) ** 2 * f, x))
     if var < bound * (1.0 - grid_rtol) - 1e-15:
         raise AssertionError(
             f"posterior variance {var:.6e} fell below its bound {bound:.6e}; "
@@ -421,27 +436,21 @@ def bayes_monte_carlo(model: ProbabilityModel, theta_true: float, m: int, trials
     The log-probability grid is built once and shared by every trial; the
     report keeps trial 0's posterior.
     """
-    if trials < 1 or m < 1:
-        raise ValueError("m and trials must both be >= 1")
     grid, log_prior, tag = _posterior_grid(domain, prior, grid_points)
-    logp_grid = np.log(np.clip(model.probability_table(grid), P_FLOOR, None))
-    estimates = np.empty(trials)
-    variances = np.empty(trials)
-    gs = np.empty(trials)
-    for t in range(trials):
-        draw = sample(model, theta_true, m, seed, stream=t)
-        post = _normalised_posterior(grid, logp_grid @ draw.counts() + log_prior, tag)
+    counts = _count_matrix(model, theta_true, m, trials, seed)
+    logp_grid = _log_table(model, grid)
+    estimates, variances, gs = np.empty((3, trials))
+    for t, row in enumerate(counts):
+        post = _normalised_posterior(grid, logp_grid @ row + log_prior, tag)
         if t == 0:
             first = post
         summary = posterior_summaries(post)
         estimates[t] = summary.mean
         variances[t] = summary.variance
         gs[t] = 1.0 / bayes_variance_bound(post)
-    fi = fisher_information(model, theta_true).fi
-    crlb = 1.0 / (m * fi) if fi > 0 else math.inf
     return BayesReport(theta_true=float(theta_true), m=int(m), seed=int(seed),
                        estimates=estimates, posterior_variances=variances,
-                       g_values=gs, crlb=crlb, first_posterior=first)
+                       g_values=gs, crlb=_crlb(model, theta_true, m), first_posterior=first)
 
 
 @dataclass(frozen=True)
@@ -455,6 +464,46 @@ class MomentOutOfRangeError(StatisticalFailure):
     """The sample moment falls outside the range of <M> over the domain."""
 
 
+def _moments_refine(model, c, counts, domain, monotone_grid=256, tol=1e-12):
+    """Row-wise moment estimates of a (trials, outcomes) count matrix, and the
+    predicted variances (Delta M)^2 / (m (d<M>/dphi)^2) at them.
+
+    Checks once that <M>_phi is strictly monotone on the domain and that every
+    sample moment lies in its range, then bisects every trial at once.
+    """
+    lo, hi = _interval(domain)
+    m = counts.sum(axis=1)
+    moments = counts @ c / m
+    f_grid = model.probability_table(np.linspace(lo, hi, monotone_grid)) @ c
+    diffs = np.diff(f_grid)
+    increasing = bool(np.all(diffs > 0))
+    if not (increasing or np.all(diffs < 0)):
+        raise DomainError("<M>_phi is not strictly monotone over the domain")
+    low, high = sorted((float(f_grid[0]), float(f_grid[-1])))
+    outside = np.flatnonzero((moments < low) | (moments > high))
+    if outside.size:
+        raise MomentOutOfRangeError(
+            f"sample moment {moments[outside[0]]:.6g} outside the range "
+            f"[{low:.6g}, {high:.6g}] of <M> over the domain"
+        )
+    # left of the root <M> <= moment when <M> increases, and > moment when it decreases
+    a, b = np.full(len(counts), lo), np.full(len(counts), hi)
+    for _ in range(200):
+        rows = np.flatnonzero(b - a > tol)
+        if not rows.size:
+            break
+        mid = 0.5 * (a[rows] + b[rows])
+        left_of_root = (_vecdot(model.probability_table(mid), c) <= moments[rows]) == increasing
+        a[rows] = np.where(left_of_root, mid, a[rows])
+        b[rows] = np.where(left_of_root, b[rows], mid)
+    estimates = 0.5 * (a + b)
+    var, slope = moment_statistics(c, model.probability_table(estimates),
+                                   model.derivative_table(estimates))
+    if np.any(np.abs(slope) < 1e-15):
+        raise DomainError("d<M>/dphi vanishes at the estimate")
+    return estimates, var / (m * slope**2)
+
+
 def method_of_moments(model: ProbabilityModel, observable: np.ndarray, outcomes,
                       domain=DEFAULT_DOMAIN, monotone_grid: int = 256,
                       tol: float = 1e-12) -> MomentsEstimate:
@@ -463,86 +512,29 @@ def method_of_moments(model: ProbabilityModel, observable: np.ndarray, outcomes,
     f must be strictly monotone over the domain (checked on a grid); the
     predicted variance is (Delta M)^2 / (m (df/dphi)^2) at the estimate.
     """
-    lo, hi = float(domain[0]), float(domain[1])
-    if not lo < hi:
-        raise DomainError(f"domain ({lo}, {hi}) is empty")
     c = povm_diagonal_coefficients(model.povm, observable)
     outcomes = np.asarray(outcomes, dtype=np.int64)
     if outcomes.size < 1:
         raise ValueError("method of moments needs at least one outcome")
-    m = outcomes.size
-    sample_moment = float(np.mean(c[outcomes]))
-
-    grid = np.linspace(lo, hi, monotone_grid)
-    f_grid = model.probability_table(grid) @ c
-    diffs = np.diff(f_grid)
-    if np.all(diffs > 0):
-        increasing = True
-    elif np.all(diffs < 0):
-        increasing = False
-    else:
-        raise DomainError("<M>_phi is not strictly monotone over the domain")
-
-    f_lo, f_hi = float(f_grid[0]), float(f_grid[-1])
-    low, high = (f_lo, f_hi) if increasing else (f_hi, f_lo)
-    if not low <= sample_moment <= high:
-        raise MomentOutOfRangeError(
-            f"sample moment {sample_moment:.6g} outside the range "
-            f"[{low:.6g}, {high:.6g}] of <M> over the domain"
-        )
-
-    def f(phi):
-        return float(model.probabilities(phi) @ c)
-
-    a, b = lo, hi
-    fa = f(a) - sample_moment
-    for _ in range(200):
-        if b - a <= tol:
-            break
-        mid = 0.5 * (a + b)
-        fm = f(mid) - sample_moment
-        if (fa <= 0) == (fm <= 0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    estimate = 0.5 * (a + b)
-
-    p = model.probabilities(estimate)
-    dp = model.derivatives(estimate)
-    mean = float(c @ p)
-    var = float((c - mean) ** 2 @ p)
-    slope = float(c @ dp)
-    if abs(slope) < 1e-15:
-        raise DomainError("d<M>/dphi vanishes at the estimate")
-    prediction = var / (m * slope**2)
-    return MomentsEstimate(theta=float(estimate), variance_prediction=prediction,
-                           sample_moment=sample_moment)
+    counts = np.bincount(outcomes, minlength=model.n_outcomes)[None, :]
+    (est,), (prediction,) = _moments_refine(model, c, counts, domain, monotone_grid, tol)
+    return MomentsEstimate(theta=float(est), variance_prediction=float(prediction),
+                           sample_moment=float(counts[0] @ c / outcomes.size))
 
 
 def moments_monte_carlo(model: ProbabilityModel, observable: np.ndarray,
                         theta_true: float, m: int, trials: int, seed: int,
                         domain=DEFAULT_DOMAIN) -> EstimationReport:
-    """Monte-Carlo harness for the moment estimator; the report's CRLB slot
-    holds the error-propagation prediction evaluated at the true phase."""
-    if trials < 1 or m < 1:
-        raise ValueError("m and trials must both be >= 1")
-    estimates = np.empty(trials)
-    predictions = np.empty(trials)
-    for t in range(trials):
-        draw = sample(model, theta_true, m, seed, stream=t)
-        est = method_of_moments(model, observable, draw.outcomes, domain=domain)
-        estimates[t] = est.theta
-        predictions[t] = est.variance_prediction
+    """Moment estimates of every trial at once; the report's CRLB slot holds
+    the error-propagation prediction evaluated at the true phase."""
+    counts = _count_matrix(model, theta_true, m, trials, seed)
     c = povm_diagonal_coefficients(model.povm, observable)
-    p = model.probabilities(theta_true)
-    dp = model.derivatives(theta_true)
-    mean = float(c @ p)
-    var = float((c - mean) ** 2 @ p)
-    slope = float(c @ dp)
-    prediction_true = var / (m * slope**2)
+    estimates, predictions = _moments_refine(model, c, counts, domain)
+    var, slope = moment_statistics(c, model.probabilities(theta_true),
+                                   model.derivatives(theta_true))
     return EstimationReport(
         estimator="moments", theta_true=float(theta_true), m=int(m), seed=int(seed),
-        estimates=estimates, crlb=prediction_true,
+        estimates=estimates, crlb=float(var / (m * slope**2)),
         extra={"variance_predictions": predictions},
     )
 

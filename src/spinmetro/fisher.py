@@ -27,6 +27,9 @@ P_FLOOR = 1e-12
 #: derivative magnitude separating truly flat outcomes from l'Hopital ones
 D_FLOOR = 1e-9
 
+# row-wise dot product; numpy < 2 lacks vecdot and falls back to einsum
+_vecdot = getattr(np, "vecdot", None) or (lambda a, b: np.einsum("...k,...k->...", a, b))
+
 
 class EigenvalueCrossingError(RuntimeError):
     """Spectral family is not smooth at the requested point and step."""
@@ -293,13 +296,19 @@ def qfi_unitary(rho: np.ndarray, h: np.ndarray, p_floor: float = P_FLOOR) -> flo
     return _qfi_spectral(dec.eigenvalues, h_t, p_floor)
 
 
-def _qfi_spectral(p: np.ndarray, h_eigbasis: np.ndarray, p_floor: float) -> float:
-    num = (p[:, None] - p[None, :]) ** 2
+def _spectral_weight(p: np.ndarray, p_floor: float, power: int = 2) -> np.ndarray:
+    """(p_k - p_k')^power / (p_k + p_k') on p_k + p_k' > p_floor, zero elsewhere;
+    power 2 is the QFI weight, power 1 the SLD factor."""
+    diff = p[:, None] - p[None, :]
     den = p[:, None] + p[None, :]
-    weight = np.zeros_like(num)
+    out = np.zeros_like(diff)
     mask = den > p_floor
-    weight[mask] = num[mask] / den[mask]
-    return float(2.0 * np.sum(weight * np.abs(h_eigbasis) ** 2))
+    out[mask] = diff[mask] ** power / den[mask]
+    return out
+
+
+def _qfi_spectral(p: np.ndarray, h_eigbasis: np.ndarray, p_floor: float) -> float:
+    return float(2.0 * np.sum(_spectral_weight(p, p_floor) * np.abs(h_eigbasis) ** 2))
 
 
 def qfi_mixed(probe: MixedState, axis, p_floor: float = P_FLOOR) -> float:
@@ -340,12 +349,7 @@ def sld(probe: State, axis, p_floor: float = P_FLOOR) -> np.ndarray:
     p = dec.eigenvalues
     v = dec.eigenvectors
     h_t = dagger(v) @ h @ v
-    num = p[:, None] - p[None, :]
-    den = p[:, None] + p[None, :]
-    factor = np.zeros_like(num)
-    mask = den > p_floor
-    factor[mask] = num[mask] / den[mask]
-    l_t = 2.0j * factor * h_t
+    l_t = 2.0j * _spectral_weight(p, p_floor, power=1) * h_t
     return v @ l_t @ dagger(v)
 
 
@@ -407,13 +411,7 @@ def qfi_family(family, theta: float, step: float = 1e-5, p_floor: float = P_FLOO
             term1 += dp[k] ** 2 / p0[k]
 
     overlap = dagger(dv) @ v0  # overlap[k, k'] = <d theta k | k'>
-    num = (p0[:, None] - p0[None, :]) ** 2
-    den = p0[:, None] + p0[None, :]
-    weight = np.zeros_like(num)
-    mask = den > p_floor
-    weight[mask] = num[mask] / den[mask]
-    term2 = float(2.0 * np.sum(weight * np.abs(overlap) ** 2))
-    return float(term1 + term2)
+    return float(term1 + _qfi_spectral(p0, overlap, p_floor))
 
 
 def bound_shot_noise(n: int, m: int = 1, h_range: float = 1.0) -> float:
@@ -467,14 +465,20 @@ def fisher_lower_bound_moment(
     the model; a vanishing variance leaves the bound undefined.
     """
     c = povm_diagonal_coefficients(model.povm, observable)
-    p = model.probabilities(theta)
-    dp = model.derivatives(theta)
-    mean = float(c @ p)
-    var = float((c - mean) ** 2 @ p)
+    var, slope = moment_statistics(c, model.probabilities(theta), model.derivatives(theta))
     if var < P_FLOOR:
         raise ValueError("zero variance of the observable: moment bound undefined")
-    slope = float(c @ dp)
-    return slope**2 / var
+    return float(slope**2 / var)
+
+
+def moment_statistics(c: np.ndarray, p: np.ndarray, dp: np.ndarray):
+    """(Delta M)^2 and d<M>/dtheta of M = sum_eps c_eps E(eps) from rows p, dp or tables of them.
+
+    Row-wise dot products give a row of a table the same bits as the row alone.
+    """
+    mean = _vecdot(p, c)
+    var = _vecdot((c - np.expand_dims(mean, -1)) ** 2, p)
+    return var, _vecdot(dp, c)
 
 
 def optimal_axis(probe: State, p_floor: float = P_FLOOR) -> tuple[SpinAxis, float]:
@@ -491,11 +495,7 @@ def optimal_axis(probe: State, p_floor: float = P_FLOOR) -> tuple[SpinAxis, floa
         p = dec.eigenvalues
         v = dec.eigenvectors
         tilde = [dagger(v) @ o @ v for o in ops]
-        num = (p[:, None] - p[None, :]) ** 2
-        den = p[:, None] + p[None, :]
-        weight = np.zeros_like(num)
-        mask = den > p_floor
-        weight[mask] = num[mask] / den[mask]
+        weight = _spectral_weight(p, p_floor)
         gamma = np.empty((3, 3), dtype=complex)
         for i in range(3):
             for jx in range(3):

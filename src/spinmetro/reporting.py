@@ -40,16 +40,27 @@ def write_csv(path_or_file, header, rows) -> None:
         Path(path_or_file).write_text(text, encoding="utf-8", newline="")
 
 
+def trial_table(estimates, predictions=None):
+    """Header and rows of per-trial estimates, with variance predictions if given."""
+    if predictions is None:
+        return ("trial", "estimate"), list(enumerate(estimates))
+    return (("trial", "estimate", "variance_prediction"),
+            [(t, e, v) for t, (e, v) in enumerate(zip(estimates, predictions))])
+
+
+def posterior_table(post):
+    """Header and rows of a posterior trace on its grid."""
+    return ("grid_phi", "posterior_density"), list(zip(post.grid, post.density))
+
+
 def write_trials_csv(report, path_or_file) -> None:
     """Per-trial estimates: columns (trial, estimate)."""
-    rows = [(t, est) for t, est in enumerate(report.estimates)]
-    write_csv(path_or_file, ("trial", "estimate"), rows)
+    write_csv(path_or_file, *trial_table(report.estimates))
 
 
 def write_posterior_csv(post, path_or_file) -> None:
     """Posterior trace: columns (grid_phi, posterior_density)."""
-    rows = list(zip(post.grid, post.density))
-    write_csv(path_or_file, ("grid_phi", "posterior_density"), rows)
+    write_csv(path_or_file, *posterior_table(post))
 
 
 def json_safe(value):

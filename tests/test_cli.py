@@ -102,6 +102,13 @@ class TestEstimationCommands:
                           "--domain", "0:3.141592653589793", out_name="x.json")
         assert code == EXIT_STATISTICAL
 
+    def test_bayes_border_support_statistical_exit(self, tmp_path, capsys):
+        # m = 3 leaves the posterior far from zero at the domain borders
+        code, _ = run_cli(tmp_path, "bayes", "--n", "4", "--m", "3", "--trials", "2",
+                          "--theta", "0.5", "--domain", "0:1.5", out_name="x.json")
+        assert code == EXIT_STATISTICAL
+        assert "statistical failure: posterior does not vanish" in capsys.readouterr().err
+
     def test_bayes_m_zero_emits_prior(self, tmp_path):
         code, text = run_cli(tmp_path, "bayes", "--n", "1", "--probe", "fock",
                              "--mu", "0.5", "--axis", "y", "--theta", "0.8",

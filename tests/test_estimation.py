@@ -180,6 +180,7 @@ class TestMleMonteCarlo:
         assert lines[0] == "trial,estimate"
         assert len(lines) == 6
         assert float(lines[1].split(",")[1]) == pytest.approx(rep.estimates[0])
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3", "4"]
 
 
 def gaussian_posterior(center=1.2, sigma=0.05, lo=0.0, hi=math.pi, points=4001):
@@ -217,6 +218,15 @@ class TestBayes:
         assert s.variance == pytest.approx(0.05**2, rel=0.01)
         # 68.27% mass within one standard deviation
         assert s.credible_halfwidth == pytest.approx(0.05, rel=0.01)
+
+    def test_credible_halfwidth_encloses_mass_to_round_off(self):
+        post = gaussian_posterior()
+        s = posterior_summaries(post)
+        x, f = post.grid, post.density
+        cum = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(x))])
+        enclosed = (np.interp(s.mean + s.credible_halfwidth, x, cum)
+                    - np.interp(s.mean - s.credible_halfwidth, x, cum)) / cum[-1]
+        assert enclosed == pytest.approx(0.6827, abs=1e-12)
 
     def test_gaussian_variance_bound_tight(self):
         post = gaussian_posterior()
