@@ -28,7 +28,7 @@ from .fisher import (EigenvalueCrossingError, FisherReport, Povm,
                      optimal_axis, povm_number_counting,
                      povm_probe_projection, probabilities,
                      probability_derivative, qfi, qfi_family, qfi_mixed,
-                     qfi_pure, qfi_unitary, sld)
+                     qfi_pure, qfi_unitary, sld, spin_moments)
 from .linalg import (SpectralDecomposition, eig_hermitian, expm_generator,
                      max_eig_sym3)
 from .reporting import write_posterior_csv, write_trials_csv

@@ -27,11 +27,11 @@ from .estimation import (DEFAULT_DOMAIN, DomainError, StatisticalFailure,
 from .estimation import sample  # noqa: F401  (perfbench/test_perfbench.py reads cli.sample)
 from .fisher import (ProbabilityModel, bound_heisenberg, bound_shot_noise,
                      fisher_information, optimal_axis, povm_number_counting,
-                     povm_probe_projection, qfi)
+                     povm_probe_projection, qfi, spin_moments)
 from .reporting import csv_text, json_safe, posterior_table, trial_table
-from .spins import SpinAxis, SpinSpace, op_j, op_jz
+from .spins import SpinAxis, SpinSpace, op_jz
 from .states import (PureState, coherent_spin, fock, ghz_along, mix, noon,
-                     state_from_json, twin_fock, variance)
+                     state_from_json, twin_fock)
 
 SCHEMA = "spinmetro-run/1"
 
@@ -45,6 +45,13 @@ N_MAX = 4096
 
 class ConfigError(ValueError):
     pass
+
+
+def _real(value, what: str) -> float:
+    """A finite int or float as float; config files may hold strings, lists or booleans."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -80,22 +87,27 @@ class RunConfig:
             raise ConfigError("trials must be a positive integer")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
-        if self.theta is not None and not math.isfinite(self.theta):
-            raise ConfigError("theta must be finite")
+        if self.theta is not None:
+            _real(self.theta, "theta")
         if self.theta_grid is not None:
             start, stop, points = self.theta_grid
-            if not (math.isfinite(start) and math.isfinite(stop)) or points < 1:
-                raise ConfigError("theta grid must be finite with points >= 1")
+            _real(start, "theta grid start")
+            _real(stop, "theta grid stop")
+            if not isinstance(points, int) or isinstance(points, bool) or points < 1:
+                raise ConfigError("theta grid must be finite with an integer points >= 1")
         if self.domain is not None:
             lo, hi = self.domain
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            if not _real(lo, "domain lo") < _real(hi, "domain hi"):
                 raise ConfigError("domain must be a non-empty finite interval lo < hi")
-        if self.fisher_value is not None and self.fisher_value < 0:
+        if self.fisher_value is not None and _real(self.fisher_value, "fisher value") < 0:
             raise ConfigError("fisher value cannot be negative")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError("out must be a path string")
         if not isinstance(self.probe, dict) or "kind" not in self.probe:
             raise ConfigError("probe spec must be an object with a 'kind'")
         try:
             SpinAxis.from_spec(self.axis)
+            SpinAxis.from_spec(self.probe.get("axis", self.axis))  # a ghz probe's own axis
             for a in self.squeeze_axes:
                 SpinAxis.from_spec(a)
         except (ValueError, TypeError) as err:
@@ -115,11 +127,10 @@ def build_probe(config: RunConfig):
     kind = spec["kind"]
     params = {k: v for k, v in spec.items() if k != "kind"}
     if kind == "fock":
-        mu = params.get("mu", space.j)
-        return fock(space, float(mu))
+        return fock(space, _real(params.get("mu", space.j), "mu"))
     if kind == "css":
-        return coherent_spin(space, float(params.get("polar", math.pi / 2)),
-                             float(params.get("azimuth", 0.0)))
+        return coherent_spin(space, _real(params.get("polar", math.pi / 2), "polar"),
+                             _real(params.get("azimuth", 0.0), "azimuth"))
     if kind == "noon":
         return noon(space)
     if kind == "twin-fock":
@@ -128,22 +139,24 @@ def build_probe(config: RunConfig):
         return ghz_along(space, params.get("axis", config.axis))
     if kind == "mix-spec":
         comps = params.get("components")
-        if not comps:
+        if not comps or not isinstance(comps, list):
             raise ConfigError("mix-spec probe needs a 'components' list")
         parts = []
         for comp in comps:
-            weight = float(comp["weight"])
-            sub = dict(comp["probe"])
-            sub_config = RunConfig(command=config.command,
-                                   n_particles=config.n_particles, probe=sub,
-                                   axis=config.axis)
-            parts.append((weight, build_probe(sub_config)))
+            if not isinstance(comp, dict) or not {"weight", "probe"} <= comp.keys():
+                raise ConfigError("each mix-spec component needs a 'weight' and a 'probe'")
+            sub_config = RunConfig(command=config.command, n_particles=config.n_particles,
+                                   probe=comp["probe"], axis=config.axis).validate()
+            parts.append((_real(comp["weight"], "mix-spec weight"), build_probe(sub_config)))
         return mix(parts)
     if kind == "state-file":
         path = params.get("path")
-        if not path:
+        if not path or not isinstance(path, str):
             raise ConfigError("state-file probe needs a 'path'")
-        return state_from_json(json.loads(Path(path).read_text()))
+        try:
+            return state_from_json(json.loads(Path(path).read_text()))
+        except (OSError, KeyError, TypeError, ValueError) as err:
+            raise ConfigError(f"state file {path!r}: {err!r}") from err
     raise ConfigError(f"unknown probe kind {kind!r}")
 
 
@@ -193,10 +206,11 @@ def cmd_bounds(config: RunConfig):
 
 def cmd_fisher_scan(config: RunConfig):
     model = build_model(config)
-    probe = model.probe
     thetas = _theta_grid(config)
-    fq = qfi(probe, config.axis)
-    four_var = 4.0 * variance(probe, op_j(probe.space, config.axis))
+    moments = spin_moments(model.probe)
+    fq = qfi(moments, config.axis)
+    n = SpinAxis.from_spec(config.axis).as_array()
+    four_var = float(4.0 * n @ moments.covariance @ n)
     rows = []
     for theta in thetas:
         rep = fisher_information(model, float(theta))
@@ -211,9 +225,9 @@ def cmd_fisher_scan(config: RunConfig):
 
 
 def cmd_qfi(config: RunConfig):
-    probe = build_probe(config)
-    value = qfi(probe, config.axis)
-    best_axis, best_value = optimal_axis(probe)
+    moments = spin_moments(build_probe(config))
+    value = qfi(moments, config.axis)
+    best_axis, best_value = optimal_axis(moments)
     results = {
         "qfi": value,
         "axis": list(SpinAxis.from_spec(config.axis).vector),
@@ -435,38 +449,24 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         if key in base:
             setattr(config, key, base[key])
     if base.get("probe") is not None:
+        if not isinstance(base["probe"], dict):
+            raise ConfigError("probe spec must be an object with a 'kind'")
         config.probe = dict(base["probe"])
-    if base.get("theta_grid") is not None:
-        config.theta_grid = tuple(base["theta_grid"])
-    if base.get("domain") is not None:
-        config.domain = tuple(base["domain"])
-    if base.get("squeeze_axes") is not None:
-        config.squeeze_axes = tuple(base["squeeze_axes"])
+    for key, count in (("theta_grid", 3), ("domain", 2), ("squeeze_axes", 3)):
+        value = base.get(key)
+        if value is not None:
+            if not isinstance(value, (list, tuple)) or len(value) != count:
+                raise ConfigError(f"{key} must hold {count} fields, got {value!r}")
+            setattr(config, key, tuple(value))
 
-    if args.n is not None:
-        config.n_particles = args.n
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.m is not None:
-        config.m = args.m
-    if args.trials is not None:
-        config.trials = args.trials
-    if args.theta is not None:
-        config.theta = args.theta
-    if args.theta_grid is not None:
-        config.theta_grid = args.theta_grid
-    if args.domain is not None:
-        config.domain = args.domain
-    if args.axis is not None:
-        config.axis = args.axis
-    if args.povm is not None:
-        config.povm = args.povm
-    if args.fisher is not None:
-        config.fisher_value = args.fisher
-    if args.out is not None:
-        config.out = args.out
-    if args.format is not None:
-        config.format = args.format
+    for key, flag in (("n_particles", args.n), ("seed", args.seed), ("m", args.m),
+                      ("trials", args.trials), ("theta", args.theta),
+                      ("theta_grid", args.theta_grid), ("domain", args.domain),
+                      ("axis", args.axis), ("povm", args.povm),
+                      ("fisher_value", args.fisher), ("out", args.out),
+                      ("format", args.format)):
+        if flag is not None:
+            setattr(config, key, flag)
     if args.probe is not None:
         config.probe = {"kind": args.probe}
     for probe_key, flag in (("mu", args.mu), ("polar", args.polar),

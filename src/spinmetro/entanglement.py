@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fisher import qfi
+from .fisher import qfi, spin_moments
 from .reporting import write_csv
-from .spins import SpinAxis, op_j
-from .states import State, expectation, variance
+from .spins import SpinAxis
+from .states import State
 
 DENOMINATOR_FLOOR = 1e-12
 
@@ -55,11 +55,11 @@ class SqueezingReport:
 def squeezing(probe: State, axes) -> SqueezingReport:
     """Both squeezing parameters from first and second moments of the probe."""
     n1, n2, n3 = _orthonormal_triple(axes)
-    space = probe.space
-    n = space.n_particles
-    var1 = variance(probe, op_j(space, n1))
-    m2 = expectation(probe, op_j(space, n2)).real
-    m3 = expectation(probe, op_j(space, n3)).real
+    n = probe.space.n_particles
+    moments = spin_moments(probe)
+    var1 = float(n1.as_array() @ moments.covariance @ n1.as_array())
+    m2 = float(n2.as_array() @ moments.means)
+    m3 = float(n3.as_array() @ moments.means)
     den_r = m3 * m3
     den_rp = m2 * m2 + m3 * m3
     xi_r = n * var1 / den_r if den_r > DENOMINATOR_FLOOR else None

@@ -15,17 +15,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import dagger, eig_hermitian, max_abs, max_eig_sym3
-from .spins import SpinAxis, SpinSpace, op_j, op_jx, op_jy, op_jz
-from .states import MixedState, PureState, State, spectral_factor, variance
+from .spins import SpinAxis, SpinSpace, op_j, spin_action
+from .states import MixedState, PureState, State, spectral_support
 
 #: probabilities at or below this are treated as vanishing
 P_FLOOR = 1e-12
 #: derivative magnitude separating truly flat outcomes from l'Hopital ones
 D_FLOOR = 1e-9
+#: step of the central difference behind the l'Hopital limit of F
+LIMIT_STEP = 1e-4
 
 # row-wise dot product; numpy < 2 lacks vecdot and falls back to einsum
 _vecdot = getattr(np, "vecdot", None) or (lambda a, b: np.einsum("...k,...k->...", a, b))
@@ -158,13 +161,13 @@ class ProbabilityModel:
         self.axis = axis
         self.povm = povm
         self.space = probe.space
-        self.generator = op_j(probe.space, axis)
-        dec = eig_hermitian(self.generator)
+        dec = eig_hermitian(op_j(probe.space, axis))
         v = dec.eigenvectors
         self._lam = dec.eigenvalues
         self._minus_i_lam = -1j * dec.eigenvalues
         # rows V^dag sqrt(p_r) phi_r: the probe in the generator's eigenbasis
-        self._probe_rows = (dagger(v) @ spectral_factor(probe)).T
+        p, phi = spectral_support(probe)
+        self._probe_rows = (dagger(v) @ (phi * np.sqrt(p))).T
         # (F^dag V)^T: phased probe rows times it give the amplitudes a_{r,j}
         self._povm_basis = (dagger(povm.vectors) @ v).T
 
@@ -236,19 +239,13 @@ class FisherReport:
             raise AssertionError("FI does not match the sum of its contributions")
 
 
-def fisher_information(
-    model: ProbabilityModel,
-    theta: float,
-    p_floor: float = P_FLOOR,
-    d_floor: float = D_FLOOR,
-    limit_step: float = 1e-4,
-) -> FisherReport:
+def fisher_information(model: ProbabilityModel, theta: float) -> FisherReport:
     """Classical Fisher information F(theta) = sum_eps (dP/dtheta)^2 / P.
 
-    Outcomes with P <= p_floor and |dP| <= d_floor are excluded (and flagged);
-    outcomes with P <= p_floor but |dP| > d_floor get the one-sided limit
+    Outcomes with P <= P_FLOOR and |dP| <= D_FLOOR are excluded (and flagged);
+    outcomes with P <= P_FLOOR but |dP| > D_FLOOR get the one-sided limit
     2 * d2P/dtheta2 (de l'Hopital at a zero of P), with the second derivative
-    by central finite difference of step `limit_step`.
+    by central finite difference of step LIMIT_STEP.
     """
     p = model.probabilities(theta)
     dp = model.derivatives(theta)
@@ -256,18 +253,18 @@ def fisher_information(
     flagged = []
     limit_rows = None
     for e in range(model.n_outcomes):
-        if p[e] > p_floor:
+        if p[e] > P_FLOOR:
             contributions[e] = dp[e] ** 2 / p[e]
-        elif abs(dp[e]) <= d_floor:
+        elif abs(dp[e]) <= D_FLOOR:
             flagged.append((model.outcome_labels[e], "excluded"))
         else:
             if limit_rows is None:
                 limit_rows = model.probability_table(
-                    [theta - limit_step, theta, theta + limit_step]
+                    [theta - LIMIT_STEP, theta, theta + LIMIT_STEP]
                 )
             second = (
                 limit_rows[2][e] - 2.0 * limit_rows[1][e] + limit_rows[0][e]
-            ) / limit_step**2
+            ) / LIMIT_STEP**2
             contributions[e] = 2.0 * second
             flagged.append((model.outcome_labels[e], "limit"))
     return FisherReport(
@@ -279,66 +276,85 @@ def fisher_information(
     )
 
 
+class SpinMoments(NamedTuple):
+    """means[i] = <J_i>, covariance[i, j] = <{J_i, J_j}>/2 - <J_i><J_j>, and the
+    QFI matrix gamma, F_Q[rho, J_n] = 4 n^T gamma n (the covariance for a pure probe)."""
+
+    means: np.ndarray
+    covariance: np.ndarray
+    gamma: np.ndarray
+
+
+def spin_moments(probe: State | SpinMoments) -> SpinMoments:
+    """Means, covariance and QFI matrix of (Jx, Jy, Jz) from the columns J_i phi_r.
+
+    With rho = sum_r p_r |phi_r><phi_r| over its support S (p_r > 0),
+    A_i = Phi^dag J_i Phi and w = (p_k - p_l)^2 / (p_k + p_l),
+
+        gamma_ij = 1/2 sum_{k,l in S} w_kl Re(A_i,kl A_j,lk)
+                 + sum_{k in S, p_k > P_FLOOR} p_k Re(<J_i phi_k|J_j phi_k> - (A_i A_j)_kk),
+
+    where the second sum is the closed form of every pair with one index
+    outside S (there w = p_k).  The columns J_i phi_r come from the ladder
+    action, so R support columns cost O(dim R^2) time and O(dim R) memory,
+    and a pure probe (R = 1) needs no dense operator.  Moments are returned as given.
+    """
+    if isinstance(probe, SpinMoments):
+        return probe
+    p, phi = spectral_support(probe)
+    moved = np.stack(spin_action(probe.space, phi))  # moved[i] = J_i Phi
+    a = dagger(phi) @ moved
+    gram = np.einsum("ikr,jkr->ijr", moved.conj(), moved).real  # Re <J_i phi_r|J_j phi_r>
+    means = np.einsum("irr,r->i", a, p).real
+    inside = np.where(p > P_FLOOR, p, 0.0)
+    coeff = 0.5 * _spectral_weight(p) - inside[:, None]
+    gamma = gram @ inside + np.einsum("kl,ikl,jlk->ij", coeff, a, a).real
+    return SpinMoments(means, gram @ p - np.outer(means, means), 0.5 * (gamma + gamma.T))
+
+
+def qfi(probe: State | SpinMoments, axis) -> float:
+    """QFI 4 n^T gamma n of a probe (or its SpinMoments) for the rotation about `axis`."""
+    n = SpinAxis.from_spec(axis).as_array()
+    return float(4.0 * n @ spin_moments(probe).gamma @ n)
+
+
 def qfi_pure(probe: PureState, axis) -> float:
     """Quantum Fisher information of a pure probe: 4 (Delta J_n)^2."""
-    h = op_j(probe.space, axis)
-    return 4.0 * variance(probe, h)
+    return qfi(probe, axis)
 
 
-def qfi_unitary(rho: np.ndarray, h: np.ndarray, p_floor: float = P_FLOOR) -> float:
+def qfi_mixed(probe: MixedState, axis) -> float:
+    """QFI of a mixed probe under exp(-i*theta*J_n)."""
+    return qfi(probe, axis)
+
+
+def qfi_unitary(rho: np.ndarray, h: np.ndarray) -> float:
     """QFI of a density matrix under exp(-i*theta*H), from its spectrum.
 
     2 sum_{k,k'} (p_k - p_k')^2 / (p_k + p_k') |<k|H|k'>|^2 restricted to
-    p_k + p_k' > p_floor.
+    p_k + p_k' > P_FLOOR.
     """
     dec = eig_hermitian(rho)
     h_t = dagger(dec.eigenvectors) @ h @ dec.eigenvectors
-    return _qfi_spectral(dec.eigenvalues, h_t, p_floor)
+    return float(2.0 * np.sum(_spectral_weight(dec.eigenvalues) * np.abs(h_t) ** 2))
 
 
-def _spectral_weight(p: np.ndarray, p_floor: float, power: int = 2) -> np.ndarray:
-    """(p_k - p_k')^power / (p_k + p_k') on p_k + p_k' > p_floor, zero elsewhere;
+def _spectral_weight(p: np.ndarray, power: int = 2) -> np.ndarray:
+    """(p_k - p_k')^power / (p_k + p_k') on p_k + p_k' > P_FLOOR, zero elsewhere;
     power 2 is the QFI weight, power 1 the SLD factor."""
     diff = p[:, None] - p[None, :]
     den = p[:, None] + p[None, :]
     out = np.zeros_like(diff)
-    mask = den > p_floor
+    mask = den > P_FLOOR
     out[mask] = diff[mask] ** power / den[mask]
     return out
 
 
-def _qfi_spectral(p: np.ndarray, h_eigbasis: np.ndarray, p_floor: float) -> float:
-    return float(2.0 * np.sum(_spectral_weight(p, p_floor) * np.abs(h_eigbasis) ** 2))
-
-
-def qfi_mixed(probe: MixedState, axis, p_floor: float = P_FLOOR) -> float:
-    """QFI of a mixed probe under exp(-i*theta*J_n).
-
-    Rank-1 states (largest eigenvalue above 1 - 1e-12) take the pure-state
-    formula on the dominant eigenvector, avoiding 0/0 in the spectral sum.
-    """
-    h = op_j(probe.space, axis)
-    dec = probe.spectrum
-    if dec.eigenvalues[-1] > 1.0 - 1e-12:
-        top = dec.eigenvectors[:, -1]
-        psi = PureState(probe.space, top / np.linalg.norm(top))
-        return qfi_pure(psi, axis)
-    h_t = dagger(dec.eigenvectors) @ h @ dec.eigenvectors
-    return _qfi_spectral(dec.eigenvalues, h_t, p_floor)
-
-
-def qfi(probe: State, axis, p_floor: float = P_FLOOR) -> float:
-    """QFI of a pure or mixed probe for the rotation family about `axis`."""
-    if isinstance(probe, PureState):
-        return qfi_pure(probe, axis)
-    return qfi_mixed(probe, axis, p_floor=p_floor)
-
-
-def sld(probe: State, axis, p_floor: float = P_FLOOR) -> np.ndarray:
+def sld(probe: State, axis) -> np.ndarray:
     """Symmetric logarithmic derivative L0 of the rotation family at theta=0.
 
     In the probe eigenbasis, L0_{kk'} = 2i (p_k - p_k')/(p_k + p_k') <k|H|k'>
-    on p_k + p_k' > p_floor and zero elsewhere; L0 solves
+    on p_k + p_k' > P_FLOOR and zero elsewhere; L0 solves
     {rho, L0} = 2i [rho, H] on the supported block, Tr[rho L0] = 0, and
     Tr[rho L0^2] equals the QFI.
     """
@@ -349,7 +365,7 @@ def sld(probe: State, axis, p_floor: float = P_FLOOR) -> np.ndarray:
     p = dec.eigenvalues
     v = dec.eigenvectors
     h_t = dagger(v) @ h @ v
-    l_t = 2.0j * _spectral_weight(p, p_floor, power=1) * h_t
+    l_t = 2.0j * _spectral_weight(p, power=1) * h_t
     return v @ l_t @ dagger(v)
 
 
@@ -385,7 +401,7 @@ def _align_to(reference: np.ndarray, vectors: np.ndarray, blocks) -> np.ndarray:
     return out
 
 
-def qfi_family(family, theta: float, step: float = 1e-5, p_floor: float = P_FLOOR) -> float:
+def qfi_family(family, theta: float, step: float = 1e-5) -> float:
     """QFI of a generic smooth state family theta -> MixedState.
 
     Evaluates sum_k (dp_k)^2/p_k + 2 sum_{kk'} (p_k-p_k')^2/(p_k+p_k')
@@ -407,11 +423,11 @@ def qfi_family(family, theta: float, step: float = 1e-5, p_floor: float = P_FLOO
 
     term1 = 0.0
     for k in range(len(p0)):
-        if p0[k] > p_floor:
+        if p0[k] > P_FLOOR:
             term1 += dp[k] ** 2 / p0[k]
 
     overlap = dagger(dv) @ v0  # overlap[k, k'] = <d theta k | k'>
-    return float(term1 + _qfi_spectral(p0, overlap, p_floor))
+    return float(term1 + 2.0 * np.sum(_spectral_weight(p0) * np.abs(overlap) ** 2))
 
 
 def bound_shot_noise(n: int, m: int = 1, h_range: float = 1.0) -> float:
@@ -433,7 +449,7 @@ def _check_bound_args(n, m, h_range):
         raise ValueError("h_range must be positive")
 
 
-def povm_diagonal_coefficients(povm: Povm, observable: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def povm_diagonal_coefficients(povm: Povm, observable: np.ndarray) -> np.ndarray:
     """Coefficients c_eps with M = sum_eps c_eps E(eps); rejects other observables.
 
     c_eps = Tr[M E(eps)] / Tr[E(eps)], read off the POVM vectors as
@@ -448,7 +464,7 @@ def povm_diagonal_coefficients(povm: Povm, observable: np.ndarray, tol: float = 
     coeffs = np.add.reduceat(diag, povm.starts) / tr
     recon = (f * np.repeat(coeffs, povm.sizes())) @ dagger(f)
     defect = max_abs(observable - recon)
-    if defect > tol:
+    if defect > 1e-8:
         raise ValueError(
             f"observable is not diagonal in the POVM basis (defect {defect:.3e})"
         )
@@ -481,37 +497,10 @@ def moment_statistics(c: np.ndarray, p: np.ndarray, dp: np.ndarray):
     return var, _vecdot(dp, c)
 
 
-def optimal_axis(probe: State, p_floor: float = P_FLOOR) -> tuple[SpinAxis, float]:
-    """Rotation axis maximising the QFI, and the maximal value 4*lambda_max.
+def optimal_axis(probe: State | SpinMoments) -> tuple[SpinAxis, float]:
+    """Rotation axis maximising the QFI, and the maximal value 4*lambda_max(gamma).
 
-    Builds the 3x3 matrix n^T C n = F_Q/4: the symmetrised covariance of
-    (Jx, Jy, Jz) for pure states, its spectrally weighted counterpart for
-    mixed states.
+    Takes a probe or its SpinMoments; gamma is the 3x3 QFI matrix of `spin_moments`.
     """
-    space = probe.space
-    ops = (op_jx(space), op_jy(space), op_jz(space))
-    if isinstance(probe, MixedState) and probe.spectrum.eigenvalues[-1] <= 1.0 - 1e-12:
-        dec = probe.spectrum
-        p = dec.eigenvalues
-        v = dec.eigenvectors
-        tilde = [dagger(v) @ o @ v for o in ops]
-        weight = _spectral_weight(p, p_floor)
-        gamma = np.empty((3, 3), dtype=complex)
-        for i in range(3):
-            for jx in range(3):
-                gamma[i, jx] = 0.5 * np.einsum(
-                    "kl,lk,kl->", weight, tilde[i], tilde[jx]
-                )
-        c = 0.5 * (gamma + gamma.T).real
-    else:
-        if isinstance(probe, MixedState):
-            top = probe.spectrum.eigenvectors[:, -1]
-            probe = PureState(space, top / np.linalg.norm(top))
-        psi = probe.amplitudes
-        moved = np.stack([o @ psi for o in ops], axis=1)  # columns J_i psi
-        means = (psi.conj() @ moved).real
-        # Re <J_i psi|J_j psi> = <{J_i, J_j}>/2 for Hermitian J_i
-        c = (dagger(moved) @ moved).real - np.outer(means, means)
-        c = 0.5 * (c + c.T)
-    lam, n_max = max_eig_sym3(c)
+    lam, n_max = max_eig_sym3(spin_moments(probe).gamma)
     return SpinAxis(tuple(n_max)), 4.0 * lam

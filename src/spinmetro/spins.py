@@ -14,11 +14,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .linalg import dagger, expm_generator, max_abs
+from .linalg import expm_generator, max_abs
 
 #: above this j the direct closed-form evaluation of the rotation matrix
 #: elements starts losing digits; callers get a warning instead of silence
@@ -110,54 +109,63 @@ class SpinSpace:
         return (k + self.n_particles) // 2
 
 
-@lru_cache(maxsize=64)
-def _spin_triple(n_particles: int):
-    space = SpinSpace(n_particles)
-    j = space.j
-    mu = space.mu
-    dim = space.dim
-    ladder = np.sqrt(j * (j + 1) - mu[:-1] * (mu[:-1] + 1))
-    jp = np.zeros((dim, dim), dtype=complex)
-    jp[np.arange(1, dim), np.arange(dim - 1)] = ladder
-    jm = dagger(jp)
-    jx = (jp + jm) / 2.0
-    jy = (jp - jm) / 2.0j
-    jz = np.diag(mu.astype(complex))
-    for m in (jx, jy, jz):
-        m.setflags(write=False)
-    return jx, jy, jz
+def _half_ladder(space: SpinSpace) -> np.ndarray:
+    """<mu+1|Jx|mu> = i<mu+1|Jy|mu> = sqrt(j(j+1) - mu(mu+1))/2 for mu = -j .. j-1."""
+    mu = space.mu[:-1]
+    return np.sqrt(space.j * (space.j + 1) - mu * (mu + 1)) / 2.0
+
+
+def spin_action(space: SpinSpace, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Jx b, Jy b, Jz b) for a vector or the columns of a matrix, by the three-term
+    ladder action (J_+ moves weight from mu to mu+1, J_- back) in O(dim) per column."""
+    b = np.asarray(b, dtype=complex)
+    shape = (-1,) + (1,) * (b.ndim - 1)
+    half = _half_ladder(space).reshape(shape)
+    edge = np.zeros_like(b[:1])
+    raised = np.concatenate([edge, half * b[:-1]])  # (J_+ b)/2
+    lowered = np.concatenate([half * b[1:], edge])  # (J_- b)/2
+    return raised + lowered, -1j * (raised - lowered), space.mu.reshape(shape) * b
+
+
+def _dense_j(space: SpinSpace, nx: float, ny: float, nz: float) -> np.ndarray:
+    """Dense nx*Jx + ny*Jy + nz*Jz, built from the ladder coefficients."""
+    half = _half_ladder(space)
+    k = np.arange(space.dim - 1)
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    out[k + 1, k] = half * complex(nx, -ny)
+    out[k, k + 1] = half * complex(nx, ny)
+    out[np.arange(space.dim), np.arange(space.dim)] = nz * space.mu
+    return out
 
 
 def op_jx(space: SpinSpace) -> np.ndarray:
-    return _spin_triple(space.n_particles)[0]
+    return _dense_j(space, 1.0, 0.0, 0.0)
 
 
 def op_jy(space: SpinSpace) -> np.ndarray:
-    return _spin_triple(space.n_particles)[1]
+    return _dense_j(space, 0.0, 1.0, 0.0)
 
 
 def op_jz(space: SpinSpace) -> np.ndarray:
-    return _spin_triple(space.n_particles)[2]
+    return _dense_j(space, 0.0, 0.0, 1.0)
 
 
 def op_j(space: SpinSpace, axis) -> np.ndarray:
-    """Collective spin component n.J = nx*Jx + ny*Jy + nz*Jz (Hermitian)."""
-    nx, ny, nz = SpinAxis.from_spec(axis).vector
-    jx, jy, jz = _spin_triple(space.n_particles)
-    return nx * jx + ny * jy + nz * jz
+    """Collective spin component n.J = nx*Jx + ny*Jy + nz*Jz (Hermitian, dense)."""
+    return _dense_j(space, *SpinAxis.from_spec(axis).vector)
 
 
 def op_ladder_plus(space: SpinSpace) -> np.ndarray:
     """Raising operator J_+ = Jx + i*Jy, acting as sqrt(j(j+1)-mu(mu+1))."""
-    jx, jy, _ = _spin_triple(space.n_particles)
-    return jx + 1j * jy
+    return _dense_j(space, 1.0, 0.0, 0.0) + 1j * _dense_j(space, 0.0, 1.0, 0.0)
 
 
 def casimir(space: SpinSpace) -> float:
-    """(N/2)(N/2+1); verifies Jx^2+Jy^2+Jz^2 equals that multiple of the identity."""
-    jx, jy, jz = _spin_triple(space.n_particles)
+    """(N/2)(N/2+1); checks it against the diagonal Jx^2+Jy^2+Jz^2 = (J_+J_- + J_-J_+)/2 + Jz^2."""
+    half_sq = 2.0 * _half_ladder(space) ** 2
+    diagonal = space.mu ** 2 + np.append(half_sq, 0.0) + np.append(0.0, half_sq)
     value = space.j * (space.j + 1.0)
-    defect = max_abs(jx @ jx + jy @ jy + jz @ jz - value * np.eye(space.dim))
+    defect = max_abs(diagonal - value)
     if defect > 1e-10:
         raise AssertionError(
             f"Casimir identity violated by {defect:.3e} for N={space.n_particles}"

@@ -102,16 +102,16 @@ def density_matrix(state: State) -> np.ndarray:
     return state.density_matrix()
 
 
-def spectral_factor(state: State) -> np.ndarray:
-    """Columns sqrt(p_r) phi_r over the eigenvectors with p_r > 0, so rho = B B^dag.
+def spectral_support(state: State) -> tuple[np.ndarray, np.ndarray]:
+    """Weights p_r > 0 and the columns phi_r of rho = sum_r p_r |phi_r><phi_r|.
 
-    A pure state is its own single column.
+    A pure state is its own single column with weight 1.
     """
     if isinstance(state, PureState):
-        return state.amplitudes[:, None]
+        return np.ones(1), state.amplitudes[:, None]
     dec = state.spectrum
     keep = dec.eigenvalues > 0
-    return dec.eigenvectors[:, keep] * np.sqrt(dec.eigenvalues[keep])
+    return dec.eigenvalues[keep], dec.eigenvectors[:, keep]
 
 
 def expectation(state: State, operator: np.ndarray) -> complex:
@@ -123,7 +123,8 @@ def expectation(state: State, operator: np.ndarray) -> complex:
 
 def variance(state: State, operator: np.ndarray) -> float:
     """(Delta A)^2 for a Hermitian operator: |A B|^2 - <A>^2 with rho = B B^dag."""
-    b = spectral_factor(state)
+    p, phi = spectral_support(state)
+    b = phi * np.sqrt(p)
     moved = operator @ b
     mean = np.vdot(b, moved).real
     return float(np.vdot(moved, moved).real - mean * mean)

@@ -210,6 +210,36 @@ class TestReproducibility:
         assert 0.0 < results["qfi"] <= 16.0 + 1e-9
 
 
+BAD_CONFIG_FIELDS = {
+    "theta-grid-float-points": {"theta_grid": [0, 1, 2.5]},
+    "theta-string": {"theta": "abc"},
+    "domain-string-bound": {"domain": [0, "x"]},
+    "fisher-value-string": {"fisher_value": "3"},
+    "mix-component-without-probe": {"probe": {"kind": "mix-spec",
+                                              "components": [{"weight": 1.0}]}},
+    "theta-grid-not-a-list": {"theta_grid": 5},
+    "probe-not-an-object": {"probe": [1]},
+    "fock-mu-list": {"probe": {"kind": "fock", "mu": [1]}},
+    "out-not-a-string": {"out": 5},
+    "state-file-missing": {"probe": {"kind": "state-file", "path": "missing.json"}},
+    "ghz-axis-number": {"probe": {"kind": "ghz", "axis": 5}},
+}
+
+
+@pytest.mark.parametrize("command", ["bounds", "fisher-scan", "qfi", "mle", "bayes",
+                                     "moments", "depth", "squeeze"])
+@pytest.mark.parametrize("case", list(BAD_CONFIG_FIELDS))
+def test_mistyped_config_value_exits_2(tmp_path, capsys, monkeypatch, case, command):
+    monkeypatch.chdir(tmp_path)
+    config_file = tmp_path / "bad.json"
+    config_file.write_text(json.dumps({"n_particles": 4, **BAD_CONFIG_FIELDS[case]}))
+    assert main([command, "--config", str(config_file)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
 class TestValidation:
     def test_bad_n_exits_2(self, tmp_path):
         code, _ = run_cli(tmp_path, "bounds", "--n", "0", out_name="x.json")
