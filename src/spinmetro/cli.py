@@ -54,6 +54,11 @@ def _real(value, what: str) -> float:
     return float(value)
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool (bool subclasses int, so `true` would pass as 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -75,17 +80,17 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        if not isinstance(self.n_particles, int) or self.n_particles < 1:
+        if not _is_int(self.n_particles) or self.n_particles < 1:
             raise ConfigError("n_particles must be a positive integer")
         if self.n_particles > N_MAX:
             raise ConfigError(f"n_particles above the supported maximum of {N_MAX}")
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be 'csv' or 'json'")
-        if not isinstance(self.m, int) or self.m < 0:
+        if not _is_int(self.m) or self.m < 0:
             raise ConfigError("m must be a non-negative integer")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if not _is_int(self.trials) or self.trials < 1:
             raise ConfigError("trials must be a positive integer")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
         if self.theta is not None:
             _real(self.theta, "theta")
@@ -93,7 +98,7 @@ class RunConfig:
             start, stop, points = self.theta_grid
             _real(start, "theta grid start")
             _real(stop, "theta grid stop")
-            if not isinstance(points, int) or isinstance(points, bool) or points < 1:
+            if not _is_int(points) or points < 1:
                 raise ConfigError("theta grid must be finite with an integer points >= 1")
         if self.domain is not None:
             lo, hi = self.domain
@@ -397,40 +402,36 @@ def _grid_arg(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One flat parser: the command and the options may come in any order."""
     parser = argparse.ArgumentParser(
         prog="spinmetro",
         description="SU(2) interferometer sensitivity toolkit (all angles in radians)",
     )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None,
-                       help="JSON config file; flags override its fields")
-        p.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
-        p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--n", type=int, default=None, help="number of particles")
-        p.add_argument("--m", type=int, default=None, help="measurements per trial")
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--theta", type=float, default=None, help="true phase (rad)")
-        p.add_argument("--theta-grid", type=_grid_arg, default=None,
-                       metavar="START:STOP:POINTS")
-        p.add_argument("--domain", type=_domain_arg, default=None, metavar="LO:HI",
-                       help="estimation interval (rad); required for mle/bayes/moments")
-        p.add_argument("--probe", type=str, default=None,
-                       choices=("fock", "css", "noon", "twin-fock", "ghz", "mix-spec"))
-        p.add_argument("--mu", type=float, default=None, help="fock label")
-        p.add_argument("--polar", type=float, default=None, help="css polar angle")
-        p.add_argument("--azimuth", type=float, default=None, help="css azimuth")
-        p.add_argument("--axis", type=str, default=None, help="x|y|z|nx,ny,nz")
-        p.add_argument("--povm", type=str, default=None,
-                       choices=("counting", "projection"))
-        p.add_argument("--fisher", type=float, default=None,
-                       help="measured Fisher value for the depth witness")
-        p.add_argument("--n1", type=str, default=None, help="squeezing axis n1")
-        p.add_argument("--n2", type=str, default=None, help="rotation axis n2")
-        p.add_argument("--n3", type=str, default=None, help="squeezing axis n3")
+    add = parser.add_argument
+    add("--version", action="version", version=__version__)
+    add("command", choices=tuple(COMMANDS))
+    add("--config", type=str, default=None, help="JSON config file; flags override its fields")
+    add("--seed", type=int, default=None, help="64-bit RNG seed")
+    add("--out", type=str, default=None, help="output path (default stdout)")
+    add("--format", choices=("csv", "json"), default=None)
+    add("--n", type=int, default=None, help="number of particles")
+    add("--m", type=int, default=None, help="measurements per trial")
+    add("--trials", type=int, default=None)
+    add("--theta", type=float, default=None, help="true phase (rad)")
+    add("--theta-grid", type=_grid_arg, default=None, metavar="START:STOP:POINTS")
+    add("--domain", type=_domain_arg, default=None, metavar="LO:HI",
+        help="estimation interval (rad); required for mle/bayes/moments")
+    add("--probe", type=str, default=None,
+        choices=("fock", "css", "noon", "twin-fock", "ghz", "mix-spec"))
+    add("--mu", type=float, default=None, help="fock label")
+    add("--polar", type=float, default=None, help="css polar angle")
+    add("--azimuth", type=float, default=None, help="css azimuth")
+    add("--axis", type=str, default=None, help="x|y|z|nx,ny,nz")
+    add("--povm", type=str, default=None, choices=("counting", "projection"))
+    add("--fisher", type=float, default=None, help="measured Fisher value for the depth witness")
+    add("--n1", type=str, default=None, help="squeezing axis n1")
+    add("--n2", type=str, default=None, help="rotation axis n2")
+    add("--n3", type=str, default=None, help="squeezing axis n3")
     return parser
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import dagger, eig_hermitian, max_abs, max_eig_sym3
-from .spins import SpinAxis, SpinSpace, op_j, spin_action
+from .spins import SpinAxis, SpinSpace, j_spectrum, op_j, spin_action
 from .states import MixedState, PureState, State, spectral_support
 
 #: probabilities at or below this are treated as vanishing
@@ -135,6 +135,12 @@ def povm_probe_projection(probe: PureState) -> Povm:
     return Povm._from_vectors(("probe", "orthogonal"), reflection, [0, 1])
 
 
+def _is_identity(a: np.ndarray) -> bool:
+    """True for the square identity, checked without forming a dense one."""
+    return (a.shape[0] == a.shape[1] and np.count_nonzero(a) == a.shape[0]
+            and bool(np.all(a.diagonal() == 1)))
+
+
 class ProbabilityModel:
     """theta -> outcome probability table for (probe, axis, POVM).
 
@@ -161,15 +167,18 @@ class ProbabilityModel:
         self.axis = axis
         self.povm = povm
         self.space = probe.space
-        dec = eig_hermitian(op_j(probe.space, axis))
+        dec = j_spectrum(probe.space, axis)
         v = dec.eigenvectors
         self._lam = dec.eigenvalues
         self._minus_i_lam = -1j * dec.eigenvalues
-        # rows V^dag sqrt(p_r) phi_r: the probe in the generator's eigenbasis
+        # rows V^dag sqrt(p_r) phi_r = conj((sqrt(p_r) phi_r)^dag V): the probe in
+        # the generator's eigenbasis, without a dense copy of V^dag
         p, phi = spectral_support(probe)
-        self._probe_rows = (dagger(v) @ (phi * np.sqrt(p))).T
-        # (F^dag V)^T: phased probe rows times it give the amplitudes a_{r,j}
-        self._povm_basis = (dagger(povm.vectors) @ v).T
+        self._probe_rows = (dagger(phi * np.sqrt(p)) @ v).conj()
+        # (F^dag V)^T: phased probe rows times it give the amplitudes a_{r,j};
+        # number counting has F = I, so it is V^T
+        f = povm.vectors
+        self._povm_basis = v.T if _is_identity(f) else (dagger(f) @ v).T
 
     @property
     def outcome_labels(self) -> tuple:
@@ -249,30 +258,22 @@ def fisher_information(model: ProbabilityModel, theta: float) -> FisherReport:
     """
     p = model.probabilities(theta)
     dp = model.derivatives(theta)
+    live = p > P_FLOOR
+    limit = ~live & (np.abs(dp) > D_FLOOR)
     contributions = np.zeros_like(p)
-    flagged = []
-    limit_rows = None
-    for e in range(model.n_outcomes):
-        if p[e] > P_FLOOR:
-            contributions[e] = dp[e] ** 2 / p[e]
-        elif abs(dp[e]) <= D_FLOOR:
-            flagged.append((model.outcome_labels[e], "excluded"))
-        else:
-            if limit_rows is None:
-                limit_rows = model.probability_table(
-                    [theta - LIMIT_STEP, theta, theta + LIMIT_STEP]
-                )
-            second = (
-                limit_rows[2][e] - 2.0 * limit_rows[1][e] + limit_rows[0][e]
-            ) / LIMIT_STEP**2
-            contributions[e] = 2.0 * second
-            flagged.append((model.outcome_labels[e], "limit"))
+    contributions[live] = dp[live] ** 2 / p[live]
+    if limit.any():
+        lo, mid, hi = model.probability_table([theta - LIMIT_STEP, theta, theta + LIMIT_STEP])
+        second = (hi[limit] - 2.0 * mid[limit] + lo[limit]) / LIMIT_STEP**2
+        contributions[limit] = 2.0 * second
+    labels = model.outcome_labels
     return FisherReport(
         theta=float(theta),
         fi=float(np.sum(contributions)),
-        labels=model.outcome_labels,
+        labels=labels,
         contributions=contributions,
-        flagged=tuple(flagged),
+        flagged=tuple((labels[e], "limit" if limit[e] else "excluded")
+                      for e in np.flatnonzero(~live)),
     )
 
 

@@ -1,4 +1,4 @@
-"""Dense complex linear-algebra kernels shared by every other module.
+"""Dense linear-algebra kernels shared by every other module.
 
 All tolerances are expressed in the max-entry norm.  Matrix exponentials go
 through a Hermitian eigendecomposition, which is exact (no series truncation)
@@ -44,10 +44,12 @@ class SpectralDecomposition:
 def eig_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
-    Rejects input whose asymmetry max|A - A^dag| exceeds ``tol``; reports the
-    measured asymmetry in the error message.
+    Real symmetric input stays float64 and gets real eigenvectors; other input
+    is treated as complex.  Rejects input whose asymmetry max|A - A^dag|
+    exceeds ``tol``; reports the measured asymmetry in the error message.
     """
-    a = np.asarray(a, dtype=complex)
+    a = np.asarray(a)
+    a = a.astype(complex if np.iscomplexobj(a) else float, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):

@@ -17,7 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import expm_generator, max_abs
+from .linalg import SpectralDecomposition, eig_hermitian, max_abs, unitary_from_spectrum
+
+#: largest max|lambda - mu| accepted from the eigensolver of J_n, relative to max(1, j)
+SPECTRUM_TOL = 1e-10
 
 #: above this j the direct closed-form evaluation of the rotation matrix
 #: elements starts losing digits; callers get a warning instead of silence
@@ -155,6 +158,31 @@ def op_j(space: SpinSpace, axis) -> np.ndarray:
     return _dense_j(space, *SpinAxis.from_spec(axis).vector)
 
 
+def j_spectrum(space: SpinSpace, axis) -> SpectralDecomposition:
+    """J_n = V diag(mu) V^dag with the eigenvalues exactly mu = -j .. j, ascending.
+
+    With n = (sin b cos f, sin b sin f, cos b), J_n = D T D^dag for the real
+    symmetric tridiagonal core T = sin b Jx + cos b Jz and the diagonal phase
+    D = diag(e^{-i f (mu + j)}) (the exact diagonalisation of Feng, Wang, Yang &
+    Jin, PRE 92, 043307 (2015)).  One real eigh T = W diag(lam) W^T gives V = D W;
+    lam is checked against mu to SPECTRUM_TOL * max(1, j) and replaced by it.
+    D is the running product of e^{-i f}, so the ratio of neighbouring entries,
+    which is all J_n sees, keeps round-off accuracy at any N; evaluating
+    e^{-i f mu} directly would lose |f mu| ulps in every entry.
+    """
+    nx, ny, nz = SpinAxis.from_spec(axis).vector
+    # the core is passed on unnamed, so its memory is freed before V is formed
+    dec = eig_hermitian(np.ascontiguousarray(op_j(space, (math.hypot(nx, ny), 0.0, nz)).real))
+    mu = space.mu
+    defect = max_abs(dec.eigenvalues - mu)
+    if defect > SPECTRUM_TOL * max(1.0, space.j):
+        raise RuntimeError(f"spectrum of J_n misses mu = -j .. j by {defect:.3e}")
+    step = np.full(space.dim, np.exp(-1j * math.atan2(ny, nx)))
+    step[0] = 1.0
+    phase = np.cumprod(step)
+    return SpectralDecomposition(eigenvalues=mu, eigenvectors=phase[:, None] * dec.eigenvectors)
+
+
 def op_ladder_plus(space: SpinSpace) -> np.ndarray:
     """Raising operator J_+ = Jx + i*Jy, acting as sqrt(j(j+1)-mu(mu+1))."""
     return _dense_j(space, 1.0, 0.0, 0.0) + 1j * _dense_j(space, 0.0, 1.0, 0.0)
@@ -274,7 +302,7 @@ def wigner_d_matrix(j: float, theta: float) -> np.ndarray:
 
 def rotation(space: SpinSpace, axis, theta: float) -> np.ndarray:
     """Collective rotation exp(-i*theta*J_n) about the given Bloch axis."""
-    return expm_generator(op_j(space, axis), theta)
+    return unitary_from_spectrum(j_spectrum(space, axis), theta)
 
 
 def phase_shifter(space: SpinSpace, theta: float) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import SpectralDecomposition, dagger, eig_hermitian, max_abs
-from .spins import SpinAxis, SpinSpace, op_j
+from .spins import SpinAxis, SpinSpace, j_spectrum
 
 NORM_TOL = 1e-12
 EIGENVALUE_CLAMP = 1e-12
@@ -188,7 +188,7 @@ def ghz_along(space: SpinSpace, axis) -> PureState:
     axis = SpinAxis.from_spec(axis)
     if axis.vector == (0.0, 0.0, 1.0):
         return noon(space)
-    dec = eig_hermitian(op_j(space, axis))
+    dec = j_spectrum(space, axis)
     v_min = _fix_global_phase(dec.eigenvectors[:, 0].copy())
     v_max = _fix_global_phase(dec.eigenvectors[:, -1].copy())
     amp = (v_min + v_max) / math.sqrt(2.0)

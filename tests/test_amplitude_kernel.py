@@ -1,6 +1,7 @@
 """The amplitude kernel of ProbabilityModel against a dense reference and closed forms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,20 @@ def test_diagonal_coefficients_read_from_vectors():
     observable = 2.0 * probe.density_matrix() - 0.5 * (np.eye(space.dim) - probe.density_matrix())
     assert np.allclose(povm_diagonal_coefficients(povm_probe_projection(probe), observable),
                        [2.0, -0.5], atol=1e-14)
+
+
+def test_counting_model_build_forms_no_dense_povm_product():
+    # V (complex) and the real eigenvectors W are N^2 each; a dense F^dag V or a
+    # complex eigh of J_n adds another complex N^2 = 64 MiB at N = 2048
+    space = SpinSpace(2048)
+    probe, povm = coherent_spin(space, math.pi / 2), povm_number_counting(space)
+    tracemalloc.start()
+    try:
+        ProbabilityModel(probe, "y", povm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150 * 2**20
 
 
 class TestLargeN:

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from spinmetro import __version__
 from spinmetro.cli import (EXIT_CONFIG, EXIT_OK, EXIT_STATISTICAL, N_MAX,
                            RunConfig, build_parser, config_from_args, main, run)
 
@@ -223,6 +224,9 @@ BAD_CONFIG_FIELDS = {
     "out-not-a-string": {"out": 5},
     "state-file-missing": {"probe": {"kind": "state-file", "path": "missing.json"}},
     "ghz-axis-number": {"probe": {"kind": "ghz", "axis": 5}},
+    "m-and-trials-bool": {"m": True, "trials": True},
+    "n-particles-bool": {"n_particles": True},
+    "seed-bool": {"seed": False},
 }
 
 
@@ -238,6 +242,32 @@ def test_mistyped_config_value_exits_2(tmp_path, capsys, monkeypatch, case, comm
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+class TestParser:
+    def test_options_before_and_after_the_command(self, capsys):
+        argv = ["--n", "4", "--probe", "noon", "bounds", "--axis", "z", "--format", "csv"]
+        assert main(argv) == EXIT_OK
+        before = capsys.readouterr().out
+        assert main(["bounds", "--n", "4", "--probe", "noon", "--axis", "z",
+                     "--format", "csv"]) == EXIT_OK
+        assert capsys.readouterr().out == before
+        args = build_parser().parse_args(["--m", "3", "qfi", "--theta", "0.5"])
+        assert (args.command, args.m, args.theta) == ("qfi", 3, 0.5)
+
+    @pytest.mark.parametrize("argv", [["nope", "--n", "4"], [], ["--n", "4"]],
+                             ids=["unknown", "missing", "options-only"])
+    def test_unknown_or_missing_command_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == EXIT_CONFIG
+        assert "command" in capsys.readouterr().err
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--version"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.strip() == __version__
 
 
 class TestValidation:

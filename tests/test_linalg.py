@@ -32,6 +32,16 @@ def test_eig_jx_two_qubits_matches_characteristic_cubic():
     assert np.allclose(dec.eigenvalues, [-1.0, 0.0, 1.0], atol=1e-10)
 
 
+def test_eig_keeps_real_symmetric_input_real(rng):
+    a = rng.normal(size=(6, 6))
+    a = a + a.T
+    dec = eig_hermitian(a)
+    assert dec.eigenvectors.dtype == np.float64
+    assert max_abs(dec.reconstruct() - a) < 1e-12
+    assert eig_hermitian(a.astype(complex)).eigenvectors.dtype == np.complex128
+    assert eig_hermitian(np.eye(2, dtype=int)).eigenvectors.dtype == np.float64
+
+
 def test_eig_rejects_non_hermitian_with_measured_asymmetry():
     with pytest.raises(ValueError, match=r"not Hermitian.*1\.0"):
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))

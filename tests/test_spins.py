@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinmetro.linalg import max_abs
+from spinmetro import spins
+from spinmetro.linalg import dagger, max_abs
 from spinmetro.spins import (ReducedAccuracyWarning, SpinAxis, SpinSpace,
-                             beam_splitter, casimir, mach_zehnder, op_j,
-                             op_jx, op_jy, op_jz, op_ladder_plus,
+                             beam_splitter, casimir, j_spectrum, mach_zehnder,
+                             op_j, op_jx, op_jy, op_jz, op_ladder_plus,
                              phase_shifter, rotation, wigner_d,
                              wigner_d_matrix)
 
@@ -145,6 +146,31 @@ class TestWignerD:
         assert max_abs(product - wigner_d_matrix(j, t1 + t2)) < 1e-9
 
 
+SPECTRUM_AXES = ("x", "y", "z", (0.0, -1.0, 0.0),
+                 *(tuple(v) for v in np.random.default_rng(4193).normal(size=(2, 3))))
+
+
+class TestJSpectrum:
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 40, 250])
+    @pytest.mark.parametrize("axis", SPECTRUM_AXES, ids=["x", "y", "z", "-y", "oblique1", "oblique2"])
+    def test_exact_labels_unitary_and_reconstruction(self, n, axis):
+        space = SpinSpace(n)
+        dec = j_spectrum(space, axis)
+        assert np.array_equal(dec.eigenvalues, space.mu)
+        v = dec.eigenvectors
+        assert max_abs(dagger(v) @ v - np.eye(space.dim)) < 1e-12
+        assert max_abs(dec.reconstruct() - op_j(space, axis)) < 1e-12
+
+    def test_corrupted_core_raises(self, monkeypatch):
+        exact = spins.op_j
+        monkeypatch.setattr(spins, "op_j",
+                            lambda space, axis: exact(space, axis) + 1e-3 * np.eye(space.dim))
+        with pytest.raises(RuntimeError, match="misses mu"):
+            j_spectrum(SpinSpace(6), "y")
+        with pytest.raises(RuntimeError, match="misses mu"):
+            rotation(SpinSpace(6), "x", 0.3)
+
+
 class TestRotations:
     def test_z_rotation_is_diagonal_phase(self):
         u = rotation(SpinSpace(2), "z", 0.9)
@@ -163,7 +189,7 @@ class TestRotations:
         u = rotation(SpinSpace(n), axis, 2 * math.pi)
         assert max_abs(u - (-1.0) ** n * np.eye(n + 1)) < 1e-10
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 11, 20])
+    @pytest.mark.parametrize("n", [1, 2, 5, 11, 20, 51, 100])
     def test_y_rotation_matches_wigner_d(self, n):
         space = SpinSpace(n)
         for theta in (0.0, 0.31, 2.4, -1.2):
