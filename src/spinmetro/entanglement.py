@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fisher import qfi, spin_moments
+from .fisher import SpinMoments, qfi, spin_moments
 from .reporting import write_csv
 from .spins import SpinAxis
 from .states import State
@@ -54,9 +54,12 @@ class SqueezingReport:
 
 def squeezing(probe: State, axes) -> SqueezingReport:
     """Both squeezing parameters from first and second moments of the probe."""
-    n1, n2, n3 = _orthonormal_triple(axes)
-    n = probe.space.n_particles
-    moments = spin_moments(probe)
+    triple = _orthonormal_triple(axes)
+    return _squeezing(spin_moments(probe), probe.space.n_particles, triple)
+
+
+def _squeezing(moments: SpinMoments, n: int, triple) -> SqueezingReport:
+    n1, n2, n3 = triple
     var1 = float(n1.as_array() @ moments.covariance @ n1.as_array())
     m2 = float(n2.as_array() @ moments.means)
     m3 = float(n3.as_array() @ moments.means)
@@ -148,9 +151,10 @@ def squeezing_fisher_check(probe: State, axes) -> FisherSqueezingCheck:
     n2 is the rotation direction; the check is undefined (and flagged) when
     the squeezing denominator vanishes.
     """
-    n1, n2, n3 = _orthonormal_triple(axes)
-    report = squeezing(probe, (n1, n2, n3))
-    fq = qfi(probe, n2)
+    triple = _orthonormal_triple(axes)
+    moments = spin_moments(probe)
+    report = _squeezing(moments, probe.space.n_particles, triple)
+    fq = qfi(moments, triple[1])
     lhs = probe.space.n_particles / fq if fq > DENOMINATOR_FLOOR else math.inf
     if report.xi_r_squared is None:
         return FisherSqueezingCheck(lhs=lhs, rhs=None, holds=None, undefined=True)

@@ -77,11 +77,15 @@ class OutcomeSample:
 
 
 def sample(model: ProbabilityModel, theta_true: float, m: int, seed: int,
-           stream: int = 0) -> OutcomeSample:
-    """Draw m outcomes by inverse CDF over the outcome table; deterministic in seed."""
+           stream: int = 0, *, p_true: np.ndarray | None = None) -> OutcomeSample:
+    """Draw m outcomes by inverse CDF over the outcome table; deterministic in seed.
+
+    `p_true` is the row `model.probabilities(theta_true)` when the caller
+    already holds it (a harness drawing every trial at one angle).
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
-    p = model.probabilities(theta_true)
+    p = model.probabilities(theta_true) if p_true is None else p_true
     cdf = np.cumsum(p)
     cdf[-1] = max(cdf[-1], 1.0)  # guard the top edge against round-off
     u = philox_stream(seed, stream).random(m)
@@ -121,7 +125,7 @@ def _mle_refine(model, counts, domain, grid_points, refine_tol):
     The grid stage takes one product per block of trials.  Golden-section
     search then refines every trial at once, one table call per step over
     the trials whose bracket is still wider than `refine_tol`.  Returns the
-    estimates, their log-likelihoods and the boundary flags.
+    estimates and the boundary flags.
     """
     lo, hi = _interval(domain)
     grid = np.linspace(lo, hi, grid_points)
@@ -149,7 +153,7 @@ def _mle_refine(model, counts, domain, grid_points, refine_tol):
         fd[up], fc[down] = fresh[right], fresh[~right]
     est = 0.5 * (a + b)
     boundary = (est - lo < 2 * refine_tol) | (hi - est < 2 * refine_tol)
-    return est, objective(est), boundary
+    return est, boundary
 
 
 def mle(model: ProbabilityModel, outcomes, domain=DEFAULT_DOMAIN,
@@ -160,9 +164,9 @@ def mle(model: ProbabilityModel, outcomes, domain=DEFAULT_DOMAIN,
     maximum on the domain boundary is flagged but still returned.
     """
     counts = np.bincount(np.asarray(outcomes, dtype=np.int64), minlength=model.n_outcomes)
-    (est,), (loglik,), (boundary,) = _mle_refine(model, counts[None, :], domain,
-                                                 grid_points, refine_tol)
-    return MleEstimate(theta=float(est), log_likelihood=float(loglik), boundary=bool(boundary))
+    est, (boundary,) = _mle_refine(model, counts[None, :], domain, grid_points, refine_tol)
+    (loglik,) = _vecdot(_log_table(model, est), counts)
+    return MleEstimate(theta=float(est[0]), log_likelihood=float(loglik), boundary=bool(boundary))
 
 
 @dataclass(frozen=True)
@@ -210,10 +214,12 @@ class EstimationReport:
 
 def _count_matrix(model: ProbabilityModel, theta_true: float, m: int, trials: int,
                   seed: int) -> np.ndarray:
-    """(trials, outcomes) outcome counts; row t is `sample` on Philox stream t."""
+    """(trials, outcomes) outcome counts; row t is `sample` on Philox stream t,
+    every trial drawn from one P(theta_true)."""
     if trials < 1 or m < 1:
         raise ValueError("m and trials must both be >= 1")
-    return np.array([sample(model, theta_true, m, seed, stream=t).counts()
+    p_true = model.probabilities(theta_true)
+    return np.array([sample(model, theta_true, m, seed, stream=t, p_true=p_true).counts()
                      for t in range(trials)])
 
 
@@ -227,7 +233,7 @@ def mle_monte_carlo(model: ProbabilityModel, theta_true: float, m: int, trials: 
                     refine_tol: float = 1e-7) -> EstimationReport:
     """MLE of every trial's counts at once; compare the spread with 1/(m F)."""
     counts = _count_matrix(model, theta_true, m, trials, seed)
-    estimates, _, boundary = _mle_refine(model, counts, domain, grid_points, refine_tol)
+    estimates, boundary = _mle_refine(model, counts, domain, grid_points, refine_tol)
     return EstimationReport(
         estimator="mle", theta_true=float(theta_true), m=int(m), seed=int(seed),
         estimates=estimates, crlb=_crlb(model, theta_true, m),

@@ -454,17 +454,27 @@ def povm_diagonal_coefficients(povm: Povm, observable: np.ndarray) -> np.ndarray
     """Coefficients c_eps with M = sum_eps c_eps E(eps); rejects other observables.
 
     c_eps = Tr[M E(eps)] / Tr[E(eps)], read off the POVM vectors as
-    sum_{j in eps} f_j^dag M f_j over sum_{j in eps} |f_j|^2.
+    sum_{j in eps} f_j^dag M f_j over sum_{j in eps} |f_j|^2.  When the
+    vectors are the identity (number counting) that is the diagonal of M,
+    and M must vanish off it; no dim x dim product is formed.
     """
     observable = np.asarray(observable, dtype=complex)
     f = povm.vectors
-    diag = np.sum(f.conj() * (observable @ f), axis=0).real
-    tr = np.add.reduceat(np.sum(f.real ** 2 + f.imag ** 2, axis=0), povm.starts)
-    if np.any(tr <= 0):
-        raise ValueError("POVM element with non-positive trace")
-    coeffs = np.add.reduceat(diag, povm.starts) / tr
-    recon = (f * np.repeat(coeffs, povm.sizes())) @ dagger(f)
-    defect = max_abs(observable - recon)
+    if _is_identity(f):
+        sizes = povm.sizes()
+        coeffs = np.add.reduceat(observable.diagonal().real, povm.starts) / sizes
+        # the off-diagonal entries of a C-ordered square matrix, viewed without a copy
+        n = f.shape[0]
+        off = observable.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
+        defect = max(max_abs(off), max_abs(observable.diagonal() - np.repeat(coeffs, sizes)))
+    else:
+        diag = np.sum(f.conj() * (observable @ f), axis=0).real
+        tr = np.add.reduceat(np.sum(f.real ** 2 + f.imag ** 2, axis=0), povm.starts)
+        if np.any(tr <= 0):
+            raise ValueError("POVM element with non-positive trace")
+        coeffs = np.add.reduceat(diag, povm.starts) / tr
+        recon = (f * np.repeat(coeffs, povm.sizes())) @ dagger(f)
+        defect = max_abs(observable - recon)
     if defect > 1e-8:
         raise ValueError(
             f"observable is not diagonal in the POVM basis (defect {defect:.3e})"

@@ -10,7 +10,7 @@ from spinmetro.fisher import (Povm, ProbabilityModel, fisher_information,
                               povm_diagonal_coefficients, povm_number_counting,
                               povm_probe_projection, qfi)
 from spinmetro.linalg import dagger, max_abs
-from spinmetro.spins import SpinAxis, SpinSpace, op_j, op_jz, rotation
+from spinmetro.spins import SpinAxis, SpinSpace, op_j, op_jx, op_jz, rotation
 from spinmetro.states import (MixedState, PureState, coherent_spin, fock,
                               noon, twin_fock)
 
@@ -120,6 +120,42 @@ def test_diagonal_coefficients_read_from_vectors():
     observable = 2.0 * probe.density_matrix() - 0.5 * (np.eye(space.dim) - probe.density_matrix())
     assert np.allclose(povm_diagonal_coefficients(povm_probe_projection(probe), observable),
                        [2.0, -0.5], atol=1e-14)
+
+
+def test_counting_coefficients_reject_non_diagonal_observables():
+    space = SpinSpace(6)
+    counting = povm_number_counting(space)
+    perm = np.random.default_rng(3).permutation(space.dim)
+    permuted = Povm._from_vectors(counting.labels, np.eye(space.dim)[:, perm],
+                                  np.arange(space.dim))
+    non_hermitian = np.diag(space.mu + 0.5j)
+    for observable in (op_jx(space), op_jz(space) + 1e-6 * op_jx(space), non_hermitian):
+        messages = []
+        for povm in (counting, permuted):
+            with pytest.raises(ValueError, match="not diagonal in the POVM basis") as err:
+                povm_diagonal_coefficients(povm, observable)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+
+def test_counting_coefficients_match_general_path():
+    # a permuted identity is not `_is_identity`, so it takes the general path
+    rng = np.random.default_rng(11)
+    space = SpinSpace(9)
+    observable = np.diag(rng.normal(size=space.dim) * 1e3) + 1e-10 * rng.normal(
+        size=(space.dim, space.dim))
+    perm = rng.permutation(space.dim)
+    permuted = Povm._from_vectors(tuple(range(space.dim)), np.eye(space.dim)[:, perm],
+                                  np.arange(space.dim))
+    counting = povm_diagonal_coefficients(povm_number_counting(space), observable)
+    assert np.array_equal(counting[perm], povm_diagonal_coefficients(permuted, observable))
+    # outcomes owning several basis vectors: the parity of the Dicke index
+    starts = [0, 5]
+    parity = np.diag(np.where(np.arange(space.dim) < 5, 2.0, -1.0))
+    grouped = Povm._from_vectors(("low", "high"), np.eye(space.dim), starts)
+    assert np.array_equal(povm_diagonal_coefficients(grouped, parity), [2.0, -1.0])
+    with pytest.raises(ValueError, match="not diagonal"):
+        povm_diagonal_coefficients(grouped, op_jz(space))
 
 
 def test_counting_model_build_forms_no_dense_povm_product():

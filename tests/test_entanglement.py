@@ -162,6 +162,26 @@ class TestSqueezingFisherCheck:
         check = squeezing_fisher_check(state, ("z", "y", "x"))
         assert check.holds
 
+    def test_spin_moments_run_once(self, monkeypatch):
+        from spinmetro import entanglement, fisher
+
+        calls = []
+        original = fisher.spin_moments
+
+        def counting(probe):
+            if not isinstance(probe, fisher.SpinMoments):
+                calls.append(probe)
+            return original(probe)
+
+        for module in (entanglement, fisher):
+            monkeypatch.setattr(module, "spin_moments", counting)
+        space = SpinSpace(6)
+        probe = mix([(0.3, twin_fock(space)), (0.7, coherent_spin(space, 1.1, 0.2))])
+        check = squeezing_fisher_check(probe, ("z", "y", "x"))
+        assert len(calls) == 1
+        assert check.rhs == squeezing(probe, ("z", "y", "x")).xi_r_squared
+        assert check.lhs == space.n_particles / qfi(probe, "y")
+
     def test_undefined_propagates(self):
         space = SpinSpace(4)
         check = squeezing_fisher_check(noon(space), ("x", "y", "z"))

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from spinmetro import estimation
 from spinmetro.estimation import (BorderSupportError, MomentOutOfRangeError,
                                   bayes_monte_carlo, bayes_posterior,
                                   bayes_variance_bound, method_of_moments, mle,
@@ -206,10 +207,49 @@ def table_calls(monkeypatch):
 
 def test_mle_harness_table_calls_do_not_scale_with_trials(ramsey, table_calls):
     mle_monte_carlo(ramsey, 0.6, 100, 200, 5, domain=(0.0, 1.5))
-    # one call per trial inside `sample`, plus the grid and the refinement steps
-    assert len(table_calls) <= 200 + 100
+    # P(theta_true) once for every `sample`, plus the grid and the refinement steps
+    assert len(table_calls) <= 100
 
 
 def test_moments_harness_table_calls_do_not_scale_with_trials(ramsey, table_calls):
     moments_monte_carlo(ramsey, op_jz(ramsey.space), 0.6, 100, 200, 5, domain=(0.1, 1.2))
-    assert len(table_calls) <= 200 + 100
+    assert len(table_calls) <= 100
+
+
+HARNESSES = {
+    "mle": lambda model, trials: mle_monte_carlo(model, 0.6, 100, trials, 5,
+                                                 domain=(0.0, 1.5)),
+    "moments": lambda model, trials: moments_monte_carlo(
+        model, op_jz(model.space), 0.6, 100, trials, 5, domain=(0.1, 1.2)),
+    "bayes": lambda model, trials: bayes_monte_carlo(model, 0.6, 100, trials, 5,
+                                                     domain=(0.0, 1.5)),
+}
+
+
+@pytest.mark.parametrize("harness", list(HARNESSES))
+def test_harness_samples_every_trial_from_one_table_row(harness, ramsey, table_calls,
+                                                        monkeypatch):
+    sample_calls = []
+    original = estimation.sample
+
+    def counting(*args, **kwargs):
+        sample_calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "sample", counting)
+    per_run = []
+    for trials in (20, 200):
+        del table_calls[:], sample_calls[:]
+        HARNESSES[harness](ramsey, trials)
+        assert len(sample_calls) == trials
+        per_run.append(len(table_calls))
+    assert per_run[0] == per_run[1]
+
+
+def test_sample_from_a_given_row_matches_its_own_table(ramsey):
+    p_true = ramsey.probabilities(0.6)
+    for stream in (0, 3):
+        own = sample(ramsey, 0.6, 50, 8, stream=stream)
+        given = sample(ramsey, 0.6, 50, 8, stream=stream, p_true=p_true)
+        assert np.array_equal(own.outcomes, given.outcomes)
+    assert np.array_equal(p_true, ramsey.probabilities(0.6))
