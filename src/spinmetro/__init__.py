@@ -26,8 +26,7 @@ from .fisher import (EigenvalueCrossingError, FisherReport, Povm,
                      ProbabilityModel, bound_heisenberg, bound_shot_noise,
                      fisher_information, fisher_lower_bound_moment,
                      optimal_axis, povm_number_counting,
-                     povm_probe_projection, probabilities,
-                     probability_derivative, qfi, qfi_family, qfi_mixed,
+                     povm_probe_projection, qfi, qfi_family, qfi_mixed,
                      qfi_pure, qfi_unitary, sld, spin_moments)
 from .linalg import (SpectralDecomposition, eig_hermitian, expm_generator,
                      max_eig_sym3)

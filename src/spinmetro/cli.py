@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -159,9 +159,13 @@ def build_probe(config: RunConfig):
         if not path or not isinstance(path, str):
             raise ConfigError("state-file probe needs a 'path'")
         try:
-            return state_from_json(json.loads(Path(path).read_text()))
+            state = state_from_json(json.loads(Path(path).read_text()))
         except (OSError, KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"state file {path!r}: {err!r}") from err
+        if state.space.n_particles != config.n_particles:
+            raise ConfigError(f"state file {path!r} holds N = {state.space.n_particles} "
+                              f"particles, but n_particles is {config.n_particles}")
+        return state
     raise ConfigError(f"unknown probe kind {kind!r}")
 
 
@@ -285,7 +289,7 @@ def cmd_bayes(config: RunConfig):
         results = {
             "estimator": "bayes", "m": 0, "trials": 1,
             "posterior_mean": summary.mean, "posterior_variance": summary.variance,
-            "prior": post.prior_tag,
+            "prior": "flat",
         }
         return results, *posterior_table(post)
     report = bayes_monte_carlo(model, config.theta, config.m, config.trials,
@@ -314,7 +318,7 @@ def cmd_moments(config: RunConfig):
     observable = op_jz(model.space)
     report = moments_monte_carlo(model, observable, config.theta, config.m,
                                  config.trials, config.seed, domain=domain)
-    predictions = report.extra["variance_predictions"]
+    predictions = report.variance_predictions
     results = {
         "estimator": "moments",
         "theta_true": report.theta_true,
@@ -444,6 +448,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file: {err}") from err
         if not isinstance(base, dict):
             raise ConfigError("config file must hold a JSON object")
+        unknown = sorted(base.keys() - {f.name for f in fields(RunConfig)})
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     config = RunConfig(command=args.command)
     for key in ("n_particles", "axis", "povm", "theta", "m", "trials", "seed",
                 "fisher_value", "out", "format"):

@@ -10,7 +10,7 @@ max subtraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,20 @@ _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 #: default estimation window for probes whose statistics are even in theta
 DEFAULT_DOMAIN = (0.0, math.pi / 2)
+#: MLE: coarse grid points, then golden-section refinement to this bracket width
+MLE_GRID = 512
+MLE_TOL = 1e-7
+#: posterior grid points (flat prior)
+BAYES_GRID = 2048
+#: probability mass of the symmetric credible interval around the posterior mean
+CREDIBLE_MASS = 0.6827
+#: posterior density at the domain borders, relative to the peak, treated as vanishing
+BORDER_TOL = 1e-8
+#: relative slack of the posterior variance below its bound (grid discretisation)
+GRID_RTOL = 1e-3
+#: method of moments: monotonicity-check grid points and bisection bracket width
+MOMENTS_GRID = 256
+MOMENTS_TOL = 1e-12
 
 
 class StatisticalFailure(RuntimeError):
@@ -94,17 +108,17 @@ def sample(model: ProbabilityModel, theta_true: float, m: int, seed: int,
                          outcomes=outcomes, seed=int(seed), stream=int(stream))
 
 
-def _log_table(model: ProbabilityModel, thetas, p_floor: float = P_FLOOR) -> np.ndarray:
-    return np.log(np.clip(model.probability_table(thetas), p_floor, None))
+def _log_table(model: ProbabilityModel, thetas) -> np.ndarray:
+    return np.log(np.clip(model.probability_table(thetas), P_FLOOR, None))
 
 
-def log_likelihood(model: ProbabilityModel, outcomes, phi, p_floor: float = P_FLOOR):
-    """L(eps|phi) = sum_i ln P(eps_i|phi), probabilities floored at p_floor.
+def log_likelihood(model: ProbabilityModel, outcomes, phi):
+    """L(eps|phi) = sum_i ln P(eps_i|phi), probabilities floored at P_FLOOR.
 
     `phi` may be a scalar or an array; the result matches its shape.
     """
     counts = np.bincount(np.asarray(outcomes, dtype=np.int64), minlength=model.n_outcomes)
-    values = _log_table(model, phi, p_floor) @ counts
+    values = _log_table(model, phi) @ counts
     return float(values[0]) if np.isscalar(phi) or np.ndim(phi) == 0 else values
 
 
@@ -119,21 +133,21 @@ class MleEstimate:
 _GRID_BLOCK = 256
 
 
-def _mle_refine(model, counts, domain, grid_points, refine_tol):
+def _mle_refine(model, counts, domain):
     """Row-wise MLE of a (trials, outcomes) count matrix.
 
     The grid stage takes one product per block of trials.  Golden-section
     search then refines every trial at once, one table call per step over
-    the trials whose bracket is still wider than `refine_tol`.  Returns the
+    the trials whose bracket is still wider than MLE_TOL.  Returns the
     estimates and the boundary flags.
     """
     lo, hi = _interval(domain)
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, MLE_GRID)
     logp_grid = _log_table(model, grid)
     best = np.concatenate([np.argmax(counts[i:i + _GRID_BLOCK] @ logp_grid.T, axis=1)
                            for i in range(0, len(counts), _GRID_BLOCK)])
     a = grid[np.maximum(best - 1, 0)]
-    b = grid[np.minimum(best + 1, grid_points - 1)]
+    b = grid[np.minimum(best + 1, MLE_GRID - 1)]
 
     def objective(thetas, rows=slice(None)):
         return _vecdot(_log_table(model, thetas), counts[rows])
@@ -142,7 +156,7 @@ def _mle_refine(model, counts, domain, grid_points, refine_tol):
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = objective(c), objective(d)
-    while (rows := np.flatnonzero(b - a > refine_tol)).size:
+    while (rows := np.flatnonzero(b - a > MLE_TOL)).size:
         right = fc[rows] < fd[rows]
         up, down = rows[right], rows[~right]
         a[up], c[up], fc[up] = c[up], d[up], fd[up]
@@ -152,26 +166,26 @@ def _mle_refine(model, counts, domain, grid_points, refine_tol):
         fresh = objective(np.where(right, d[rows], c[rows]), rows)
         fd[up], fc[down] = fresh[right], fresh[~right]
     est = 0.5 * (a + b)
-    boundary = (est - lo < 2 * refine_tol) | (hi - est < 2 * refine_tol)
+    boundary = (est - lo < 2 * MLE_TOL) | (hi - est < 2 * MLE_TOL)
     return est, boundary
 
 
-def mle(model: ProbabilityModel, outcomes, domain=DEFAULT_DOMAIN,
-        grid_points: int = 512, refine_tol: float = 1e-7) -> MleEstimate:
+def mle(model: ProbabilityModel, outcomes, domain=DEFAULT_DOMAIN) -> MleEstimate:
     """Maximum-likelihood phase: coarse grid then golden-section refinement.
 
     The domain must be an interval on which the model is identifiable; a
     maximum on the domain boundary is flagged but still returned.
     """
     counts = np.bincount(np.asarray(outcomes, dtype=np.int64), minlength=model.n_outcomes)
-    est, (boundary,) = _mle_refine(model, counts[None, :], domain, grid_points, refine_tol)
+    est, (boundary,) = _mle_refine(model, counts[None, :], domain)
     (loglik,) = _vecdot(_log_table(model, est), counts)
     return MleEstimate(theta=float(est[0]), log_likelihood=float(loglik), boundary=bool(boundary))
 
 
 @dataclass(frozen=True)
 class EstimationReport:
-    """Monte-Carlo trial statistics for one estimator."""
+    """Monte-Carlo trial statistics for one estimator; the moment harness also
+    keeps each trial's predicted variance."""
 
     estimator: str
     theta_true: float
@@ -180,12 +194,14 @@ class EstimationReport:
     estimates: np.ndarray
     crlb: float
     boundary_fraction: float = 0.0
-    extra: dict = field(default_factory=dict)
+    variance_predictions: np.ndarray | None = None
 
     def __post_init__(self):
-        est = np.asarray(self.estimates, dtype=float)
-        est.setflags(write=False)
-        object.__setattr__(self, "estimates", est)
+        for name in ("estimates", "variance_predictions"):
+            if getattr(self, name) is not None:
+                values = np.asarray(getattr(self, name), dtype=float)
+                values.setflags(write=False)
+                object.__setattr__(self, name, values)
         if self.trials < 1:
             raise ValueError("report needs at least one trial")
 
@@ -229,11 +245,10 @@ def _crlb(model: ProbabilityModel, theta_true: float, m: int) -> float:
 
 
 def mle_monte_carlo(model: ProbabilityModel, theta_true: float, m: int, trials: int,
-                    seed: int, domain=DEFAULT_DOMAIN, grid_points: int = 512,
-                    refine_tol: float = 1e-7) -> EstimationReport:
+                    seed: int, domain=DEFAULT_DOMAIN) -> EstimationReport:
     """MLE of every trial's counts at once; compare the spread with 1/(m F)."""
     counts = _count_matrix(model, theta_true, m, trials, seed)
-    estimates, boundary = _mle_refine(model, counts, domain, grid_points, refine_tol)
+    estimates, boundary = _mle_refine(model, counts, domain)
     return EstimationReport(
         estimator="mle", theta_true=float(theta_true), m=int(m), seed=int(seed),
         estimates=estimates, crlb=_crlb(model, theta_true, m),
@@ -247,7 +262,6 @@ class PosteriorDistribution:
 
     grid: np.ndarray
     density: np.ndarray
-    prior_tag: str = "flat"
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -267,45 +281,20 @@ class PosteriorDistribution:
         object.__setattr__(self, "density", dens)
 
 
-def bayes_posterior(model: ProbabilityModel, outcomes, domain=DEFAULT_DOMAIN,
-                    prior=None, grid_points: int = 2048) -> PosteriorDistribution:
-    """Posterior P(phi|eps) on a grid: exp(L + ln prior - max), trapezoid-normalised.
-
-    `prior` may be None (flat), a callable of the grid, or an array of
-    densities; it must be non-negative and normalisable.  With no outcomes
-    the posterior is the normalised prior.
-    """
-    grid, log_prior, tag = _posterior_grid(domain, prior, grid_points)
+def bayes_posterior(model: ProbabilityModel, outcomes,
+                    domain=DEFAULT_DOMAIN) -> PosteriorDistribution:
+    """Flat-prior posterior P(phi|eps) on BAYES_GRID points: exp(L - max),
+    trapezoid-normalised.  With no outcomes it is the flat prior itself."""
+    grid = np.linspace(*_interval(domain), BAYES_GRID)
     outcomes = np.asarray(outcomes, dtype=np.int64)
     if outcomes.size:
         loglik = log_likelihood(model, outcomes, grid)
     else:
         loglik = np.zeros_like(grid)
-    return _normalised_posterior(grid, loglik + log_prior, tag)
+    return _normalised_posterior(grid, loglik)
 
 
-def _posterior_grid(domain, prior, grid_points: int):
-    """The phase grid, the log prior on it (-inf where it vanishes), and its tag."""
-    grid = np.linspace(*_interval(domain), grid_points)
-    if prior is None:
-        prior_values = np.ones_like(grid)
-        tag = "flat"
-    elif callable(prior):
-        prior_values = np.asarray(prior(grid), dtype=float)
-        tag = "callable"
-    else:
-        prior_values = np.asarray(prior, dtype=float)
-        tag = "array"
-    if prior_values.shape != grid.shape:
-        raise ValueError("prior values must match the grid")
-    if np.any(prior_values < 0) or not np.any(prior_values > 0):
-        raise ValueError("prior must be non-negative and normalisable")
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(prior_values)
-    return grid, log_prior, tag
-
-
-def _normalised_posterior(grid, logpost, tag) -> PosteriorDistribution:
+def _normalised_posterior(grid, logpost) -> PosteriorDistribution:
     peak = float(np.max(logpost))
     if not np.isfinite(peak):
         raise StatisticalFailure("posterior underflowed to zero everywhere")
@@ -313,7 +302,13 @@ def _normalised_posterior(grid, logpost, tag) -> PosteriorDistribution:
     norm = float(_trapz(density, grid))
     if norm <= 0 or not np.isfinite(norm):
         raise StatisticalFailure("posterior could not be normalised")
-    return PosteriorDistribution(grid=grid, density=density / norm, prior_tag=tag)
+    return PosteriorDistribution(grid=grid, density=density / norm)
+
+
+def _moments(x: np.ndarray, f: np.ndarray) -> tuple[float, float]:
+    """Trapezoidal mean and variance of the density f on the grid x."""
+    mean = float(_trapz(x * f, x))
+    return mean, float(_trapz((x - mean) ** 2 * f, x))
 
 
 @dataclass(frozen=True)
@@ -322,70 +317,55 @@ class PosteriorSummary:
     mode: float
     variance: float
     credible_halfwidth: float
-    credible_mass: float
-    point_estimate: str
 
 
-def posterior_summaries(post: PosteriorDistribution, point: str = "mean",
-                        mass: float = 0.6827) -> PosteriorSummary:
-    """Trapezoidal moments and the symmetric credible interval around the estimate.
-
-    The variance is taken around the chosen point estimate ('mean' or 'map');
-    the credible half-width Delta accumulates `mass` symmetrically around it.
-    """
+def posterior_summaries(post: PosteriorDistribution) -> PosteriorSummary:
+    """Trapezoidal mean and variance, the mode, and the credible half-width Delta
+    that holds CREDIBLE_MASS symmetrically around the mean."""
     x, f = post.grid, post.density
-    mean = float(_trapz(x * f, x))
+    mean, var = _moments(x, f)
     mode = float(x[np.argmax(f)])
-    centre = mean if point == "mean" else mode
-    if point not in ("mean", "map"):
-        raise ValueError("point must be 'mean' or 'map'")
-    var = float(_trapz((x - centre) ** 2 * f, x))
-    if not 0 < mass < 1:
-        raise ValueError("credible mass must lie in (0, 1)")
 
     steps = np.diff(x)
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * steps)])
     total = cum[-1]
 
     def contained(delta):
-        hi_v = float(np.interp(min(centre + delta, x[-1]), x, cum))
-        lo_v = float(np.interp(max(centre - delta, x[0]), x, cum))
+        hi_v = float(np.interp(min(mean + delta, x[-1]), x, cum))
+        lo_v = float(np.interp(max(mean - delta, x[0]), x, cum))
         return (hi_v - lo_v) / total
 
-    lo_d, hi_d = 0.0, float(max(centre - x[0], x[-1] - centre))
-    if contained(hi_d) < mass:
+    lo_d, hi_d = 0.0, float(max(mean - x[0], x[-1] - mean))
+    if contained(hi_d) < CREDIBLE_MASS:
         delta = hi_d
     else:
         for _ in range(200):
             mid = 0.5 * (lo_d + hi_d)
             if not lo_d < mid < hi_d:  # the bracket cannot shrink any further
                 break
-            if contained(mid) < mass:
+            if contained(mid) < CREDIBLE_MASS:
                 lo_d = mid
             else:
                 hi_d = mid
         delta = 0.5 * (lo_d + hi_d)
-    return PosteriorSummary(mean=mean, mode=mode, variance=var,
-                            credible_halfwidth=delta, credible_mass=mass,
-                            point_estimate=point)
+    return PosteriorSummary(mean=mean, mode=mode, variance=var, credible_halfwidth=delta)
 
 
 class BorderSupportError(StatisticalFailure):
     """The posterior does not vanish at the domain borders."""
 
 
-def bayes_variance_bound(post: PosteriorDistribution, border_tol: float = 1e-8,
-                         grid_rtol: float = 1e-3) -> float:
+def bayes_variance_bound(post: PosteriorDistribution) -> float:
     """Lower bound 1/G on the posterior variance, G = int (dP/dphi)^2 / P dphi.
 
     Requires the posterior to vanish at the domain borders (checked against
-    `border_tol` relative to the peak).  The derivative is a second-order
+    BORDER_TOL relative to the peak).  The derivative is a second-order
     finite difference on the grid; the resulting bound is verified against
-    the posterior variance up to a relative grid tolerance.
+    the posterior variance up to the relative grid tolerance GRID_RTOL.
     """
     x, f = post.grid, post.density
     peak = float(np.max(f))
-    if f[0] > border_tol * peak or f[-1] > border_tol * peak:
+    if f[0] > BORDER_TOL * peak or f[-1] > BORDER_TOL * peak:
         raise BorderSupportError(
             "posterior does not vanish at the domain borders; the variance "
             "bound's boundary conditions fail"
@@ -398,8 +378,8 @@ def bayes_variance_bound(post: PosteriorDistribution, border_tol: float = 1e-8,
     if g <= 0:
         raise StatisticalFailure("degenerate posterior: G evaluated to zero")
     bound = 1.0 / g
-    var = float(_trapz((x - float(_trapz(x * f, x))) ** 2 * f, x))
-    if var < bound * (1.0 - grid_rtol) - 1e-15:
+    _, var = _moments(x, f)
+    if var < bound * (1.0 - GRID_RTOL) - 1e-15:
         raise AssertionError(
             f"posterior variance {var:.6e} fell below its bound {bound:.6e}; "
             "refine the grid"
@@ -435,24 +415,21 @@ class BayesReport:
 
 
 def bayes_monte_carlo(model: ProbabilityModel, theta_true: float, m: int, trials: int,
-                      seed: int, domain=DEFAULT_DOMAIN, prior=None,
-                      grid_points: int = 2048) -> BayesReport:
-    """Sample, build the posterior, and collect variances and G over trials.
+                      seed: int, domain=DEFAULT_DOMAIN) -> BayesReport:
+    """Sample, build the posterior, and collect means, variances and G over trials.
 
     The log-probability grid is built once and shared by every trial; the
     report keeps trial 0's posterior.
     """
-    grid, log_prior, tag = _posterior_grid(domain, prior, grid_points)
+    grid = np.linspace(*_interval(domain), BAYES_GRID)
     counts = _count_matrix(model, theta_true, m, trials, seed)
     logp_grid = _log_table(model, grid)
     estimates, variances, gs = np.empty((3, trials))
     for t, row in enumerate(counts):
-        post = _normalised_posterior(grid, logp_grid @ row + log_prior, tag)
+        post = _normalised_posterior(grid, logp_grid @ row)
         if t == 0:
             first = post
-        summary = posterior_summaries(post)
-        estimates[t] = summary.mean
-        variances[t] = summary.variance
+        estimates[t], variances[t] = _moments(post.grid, post.density)
         gs[t] = 1.0 / bayes_variance_bound(post)
     return BayesReport(theta_true=float(theta_true), m=int(m), seed=int(seed),
                        estimates=estimates, posterior_variances=variances,
@@ -470,17 +447,18 @@ class MomentOutOfRangeError(StatisticalFailure):
     """The sample moment falls outside the range of <M> over the domain."""
 
 
-def _moments_refine(model, c, counts, domain, monotone_grid=256, tol=1e-12):
+def _moments_refine(model, c, counts, domain):
     """Row-wise moment estimates of a (trials, outcomes) count matrix, and the
     predicted variances (Delta M)^2 / (m (d<M>/dphi)^2) at them.
 
-    Checks once that <M>_phi is strictly monotone on the domain and that every
-    sample moment lies in its range, then bisects every trial at once.
+    Checks once that <M>_phi is strictly monotone on MOMENTS_GRID points of the
+    domain and that every sample moment lies in its range, then bisects every
+    trial at once to a bracket of MOMENTS_TOL.
     """
     lo, hi = _interval(domain)
     m = counts.sum(axis=1)
     moments = counts @ c / m
-    f_grid = model.probability_table(np.linspace(lo, hi, monotone_grid)) @ c
+    f_grid = model.probability_table(np.linspace(lo, hi, MOMENTS_GRID)) @ c
     diffs = np.diff(f_grid)
     increasing = bool(np.all(diffs > 0))
     if not (increasing or np.all(diffs < 0)):
@@ -495,7 +473,7 @@ def _moments_refine(model, c, counts, domain, monotone_grid=256, tol=1e-12):
     # left of the root <M> <= moment when <M> increases, and > moment when it decreases
     a, b = np.full(len(counts), lo), np.full(len(counts), hi)
     for _ in range(200):
-        rows = np.flatnonzero(b - a > tol)
+        rows = np.flatnonzero(b - a > MOMENTS_TOL)
         if not rows.size:
             break
         mid = 0.5 * (a[rows] + b[rows])
@@ -511,8 +489,7 @@ def _moments_refine(model, c, counts, domain, monotone_grid=256, tol=1e-12):
 
 
 def method_of_moments(model: ProbabilityModel, observable: np.ndarray, outcomes,
-                      domain=DEFAULT_DOMAIN, monotone_grid: int = 256,
-                      tol: float = 1e-12) -> MomentsEstimate:
+                      domain=DEFAULT_DOMAIN) -> MomentsEstimate:
     """Invert the sample mean of M through f(phi) = <M>_phi (bisection).
 
     f must be strictly monotone over the domain (checked on a grid); the
@@ -523,7 +500,7 @@ def method_of_moments(model: ProbabilityModel, observable: np.ndarray, outcomes,
     if outcomes.size < 1:
         raise ValueError("method of moments needs at least one outcome")
     counts = np.bincount(outcomes, minlength=model.n_outcomes)[None, :]
-    (est,), (prediction,) = _moments_refine(model, c, counts, domain, monotone_grid, tol)
+    (est,), (prediction,) = _moments_refine(model, c, counts, domain)
     return MomentsEstimate(theta=float(est), variance_prediction=float(prediction),
                            sample_moment=float(counts[0] @ c / outcomes.size))
 
@@ -532,7 +509,8 @@ def moments_monte_carlo(model: ProbabilityModel, observable: np.ndarray,
                         theta_true: float, m: int, trials: int, seed: int,
                         domain=DEFAULT_DOMAIN) -> EstimationReport:
     """Moment estimates of every trial at once; the report's CRLB slot holds
-    the error-propagation prediction evaluated at the true phase."""
+    the error-propagation prediction evaluated at the true phase, and
+    `variance_predictions` the prediction at each trial's estimate."""
     counts = _count_matrix(model, theta_true, m, trials, seed)
     c = povm_diagonal_coefficients(model.povm, observable)
     estimates, predictions = _moments_refine(model, c, counts, domain)
@@ -541,12 +519,11 @@ def moments_monte_carlo(model: ProbabilityModel, observable: np.ndarray,
     return EstimationReport(
         estimator="moments", theta_true=float(theta_true), m=int(m), seed=int(seed),
         estimates=estimates, crlb=float(var / (m * slope**2)),
-        extra={"variance_predictions": predictions},
+        variance_predictions=predictions,
     )
 
 
-def kl_divergence(model: ProbabilityModel, theta: float, phi: float,
-                  p_floor: float = P_FLOOR) -> float:
+def kl_divergence(model: ProbabilityModel, theta: float, phi: float) -> float:
     """K(P_theta || P_phi) = sum_eps P(eps|theta) ln [P(eps|theta)/P(eps|phi)].
 
     Returns math.inf when P(.|phi) vanishes somewhere P(.|theta) does not.
@@ -554,8 +531,8 @@ def kl_divergence(model: ProbabilityModel, theta: float, phi: float,
     """
     p = model.probabilities(theta)
     q = model.probabilities(phi)
-    mask = p > p_floor
-    if np.any(q[mask] <= p_floor):
+    mask = p > P_FLOOR
+    if np.any(q[mask] <= P_FLOOR):
         return math.inf
     val = float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
     return max(val, 0.0)

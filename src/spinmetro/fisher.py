@@ -222,16 +222,6 @@ class ProbabilityModel:
         return self.derivative_table([theta])[0]
 
 
-def probabilities(model: ProbabilityModel, theta: float) -> np.ndarray:
-    """Outcome probabilities at theta, aligned with model.outcome_labels."""
-    return model.probabilities(theta)
-
-
-def probability_derivative(model: ProbabilityModel, theta: float) -> np.ndarray:
-    """Analytic dP/dtheta per outcome; the entries sum to zero."""
-    return model.derivatives(theta)
-
-
 @dataclass(frozen=True)
 class FisherReport:
     """F(theta) with its per-outcome contributions and handling flags."""
@@ -240,7 +230,6 @@ class FisherReport:
     fi: float
     labels: tuple
     contributions: np.ndarray
-    derivative_method: str = "analytic-commutator"
     flagged: tuple = ()
 
     def __post_init__(self):
@@ -370,13 +359,13 @@ def sld(probe: State, axis) -> np.ndarray:
     return v @ l_t @ dagger(v)
 
 
-def _degenerate_blocks(p: np.ndarray, rel_tol: float = 1e-9) -> list[np.ndarray]:
-    """Group ascending eigenvalues into blocks degenerate within rel_tol."""
+def _degenerate_blocks(p: np.ndarray) -> list[np.ndarray]:
+    """Group ascending eigenvalues into blocks degenerate within 1e-9 relative."""
     scale = max(1.0, float(np.max(np.abs(p))))
     blocks = []
     start = 0
     for i in range(1, len(p) + 1):
-        if i == len(p) or p[i] - p[i - 1] > rel_tol * scale:
+        if i == len(p) or p[i] - p[i - 1] > 1e-9 * scale:
             blocks.append(np.arange(start, i))
             start = i
     return blocks

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
-DEFAULT_TOL = 1e-10
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -41,12 +40,12 @@ class SpectralDecomposition:
         return (v * self.eigenvalues) @ dagger(v)
 
 
-def eig_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> SpectralDecomposition:
+def eig_hermitian(a: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
     Real symmetric input stays float64 and gets real eigenvectors; other input
     is treated as complex.  Rejects input whose asymmetry max|A - A^dag|
-    exceeds ``tol``; reports the measured asymmetry in the error message.
+    exceeds HERMITICITY_TOL; reports the measured asymmetry in the error message.
     """
     a = np.asarray(a)
     a = a.astype(complex if np.iscomplexobj(a) else float, copy=False)
@@ -55,9 +54,9 @@ def eig_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> SpectralDecomp
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     asym = max_abs(a - dagger(a))
-    if asym > tol:
+    if asym > HERMITICITY_TOL:
         raise ValueError(
-            f"matrix is not Hermitian: max|A - A^dag| = {asym:.3e} exceeds {tol:.1e}"
+            f"matrix is not Hermitian: max|A - A^dag| = {asym:.3e} exceeds {HERMITICITY_TOL:.1e}"
         )
     try:
         w, v = np.linalg.eigh(a)
@@ -79,14 +78,14 @@ def unitary_from_spectrum(dec: SpectralDecomposition, theta: float) -> np.ndarra
     return (v * phases) @ dagger(v)
 
 
-def max_eig_sym3(m: np.ndarray, tol: float = HERMITICITY_TOL) -> tuple[float, np.ndarray]:
+def max_eig_sym3(m: np.ndarray) -> tuple[float, np.ndarray]:
     """Largest eigenvalue and a unit eigenvector of a real symmetric 3x3 matrix."""
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
-    if max_abs(m - m.T) > tol:
+    if max_abs(m - m.T) > HERMITICITY_TOL:
         raise ValueError(
             f"matrix is not symmetric: max|M - M^T| = {max_abs(m - m.T):.3e}"
         )

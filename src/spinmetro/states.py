@@ -98,10 +98,6 @@ class MixedState:
 State = PureState | MixedState
 
 
-def density_matrix(state: State) -> np.ndarray:
-    return state.density_matrix()
-
-
 def spectral_support(state: State) -> tuple[np.ndarray, np.ndarray]:
     """Weights p_r > 0 and the columns phi_r of rho = sum_r p_r |phi_r><phi_r|.
 

@@ -138,7 +138,7 @@ def test_c07_method_of_moments():
     shot_noise = 1.0 / (10_000 * 20)
     prediction_ok = abs(prediction - shot_noise) < 1e-9
     per_trial_ok = max(abs(p - shot_noise)
-                       for p in report.extra["variance_predictions"]) < 1e-9
+                       for p in report.variance_predictions) < 1e-9
     ok = spread_ok and prediction_ok and per_trial_ok
     criterion(7, "moment estimator spread matches prediction = 1/(mN)",
               ok, f"spread={report.variance:.3e}, prediction={prediction:.3e}")

@@ -6,6 +6,8 @@ import pytest
 from spinmetro import __version__
 from spinmetro.cli import (EXIT_CONFIG, EXIT_OK, EXIT_STATISTICAL, N_MAX,
                            RunConfig, build_parser, config_from_args, main, run)
+from spinmetro.spins import SpinSpace
+from spinmetro.states import state_to_json, twin_fock
 
 
 def run_cli(tmp_path, *argv, out_name=None):
@@ -306,3 +308,22 @@ class TestValidation:
         code, _ = run_cli(tmp_path, "fisher-scan", "--config", str(config_file),
                           out_name="x.json")
         assert code == EXIT_CONFIG
+
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        config_file = tmp_path / "typo.json"
+        config_file.write_text(json.dumps({"n": 30, "n_particles": 4, "sed": 1}))
+        assert main(["qfi", "--config", str(config_file)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown config keys: n, sed\n")
+
+    @pytest.mark.parametrize("command", ["depth", "squeeze", "qfi"])
+    def test_state_file_with_other_n_exits_2(self, tmp_path, capsys, command):
+        state_file = tmp_path / "state.json"
+        state_file.write_text(json.dumps(state_to_json(twin_fock(SpinSpace(4)))))
+        config_file = tmp_path / "probe.json"
+        config_file.write_text(json.dumps({"probe": {"kind": "state-file",
+                                                     "path": str(state_file)}}))
+        assert main([command, "--n", "10", "--config", str(config_file)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "N = 4" in err and "n_particles is 10" in err
+        assert main([command, "--n", "4", "--config", str(config_file)]) == EXIT_OK

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from spinmetro.estimation import (BorderSupportError, DomainError,
+from spinmetro.estimation import (BAYES_GRID, BorderSupportError, DomainError,
                                   MomentOutOfRangeError, PosteriorDistribution,
                                   bayes_monte_carlo, bayes_posterior,
                                   bayes_variance_bound,
@@ -187,7 +187,7 @@ def gaussian_posterior(center=1.2, sigma=0.05, lo=0.0, hi=math.pi, points=4001):
     grid = np.linspace(lo, hi, points)
     dens = np.exp(-0.5 * ((grid - center) / sigma) ** 2)
     dens /= np.trapezoid(dens, grid) if hasattr(np, "trapezoid") else np.trapz(dens, grid)
-    return PosteriorDistribution(grid=grid, density=dens, prior_tag="synthetic")
+    return PosteriorDistribution(grid=grid, density=dens)
 
 
 class TestBayes:
@@ -198,8 +198,7 @@ class TestBayes:
     @pytest.mark.parametrize("seed", [8, 21, 1999])
     def test_flat_prior_mode_matches_mle(self, qubit_model, seed):
         outcomes = sample(qubit_model, 0.8, 300, seed=seed).outcomes
-        post = bayes_posterior(qubit_model, outcomes, domain=(0.0, math.pi),
-                               grid_points=2048)
+        post = bayes_posterior(qubit_model, outcomes, domain=(0.0, math.pi))
         est = mle(qubit_model, outcomes, domain=(0.0, math.pi))
         cell = post.grid[1] - post.grid[0]
         assert abs(posterior_summaries(post).mode - est.theta) <= cell
@@ -241,13 +240,13 @@ class TestBayes:
                 + np.exp(-0.5 * ((grid - 2.3) / 0.05) ** 2))
         dens /= float(np.trapezoid(dens, grid)) if hasattr(np, "trapezoid") \
             else float(np.trapz(dens, grid))
-        post = PosteriorDistribution(grid=grid, density=dens, prior_tag="synthetic")
+        post = PosteriorDistribution(grid=grid, density=dens)
         assert posterior_summaries(post).variance > 10 * bayes_variance_bound(post)
 
     def test_border_support_violation(self):
         grid = np.linspace(0.0, 1.0, 513)
         dens = np.ones_like(grid)
-        post = PosteriorDistribution(grid=grid, density=dens, prior_tag="flat")
+        post = PosteriorDistribution(grid=grid, density=dens)
         with pytest.raises(BorderSupportError):
             bayes_variance_bound(post)
 
@@ -275,13 +274,12 @@ class TestBayes:
         assert rep.estimates[0] == posterior_summaries(post).mean
 
     def test_posterior_csv_export(self, qubit_model, tmp_path):
-        post = bayes_posterior(qubit_model, [1, 1, 0], domain=(0.0, math.pi),
-                               grid_points=64)
+        post = bayes_posterior(qubit_model, [1, 1, 0], domain=(0.0, math.pi))
         buf = io.StringIO()
         write_posterior_csv(post, buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "grid_phi,posterior_density"
-        assert len(lines) == 65
+        assert len(lines) == BAYES_GRID + 1
 
 
 @pytest.fixture(scope="module")

@@ -143,7 +143,7 @@ def test_moments_trials_match_single_sample(case):
         single = method_of_moments(model, observable, _draw(model, theta, m, t),
                                    domain=domain)
         assert abs(rep.estimates[t] - single.theta) <= 1e-12
-        assert rep.extra["variance_predictions"][t] == pytest.approx(
+        assert rep.variance_predictions[t] == pytest.approx(
             single.variance_prediction, rel=1e-12)
 
 
