@@ -3,14 +3,17 @@
 Sampling is backed by the counter-based Philox generator: one 64-bit seed
 keys the whole experiment and every Monte-Carlo trial gets its own counter
 stream, so trials are reproducible and independently parallelisable without
-sequence sharing.  All likelihood work happens in log space with per-sample
-max subtraction.
+sequence sharing.  A harness keys one Philox bit generator and rewinds it to
+the start of each trial's stream, and inverts one CDF of P(theta_true) for
+every trial.  All likelihood work happens in log space with per-sample max
+subtraction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,17 +55,51 @@ def _interval(domain) -> tuple[float, float]:
     return lo, hi
 
 
+def _index(value, name: str, lo: int, hi: int | None = None) -> int:
+    """`value` as a Python int in [lo, hi); a bool or a non-integer is rejected."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < lo or (hi is not None and value >= hi):
+        limits = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
+        raise ValueError(f"{name} must be {limits}, got {value}")
+    return value
+
+
+class _PhiloxStreams:
+    """One Philox bit generator keyed by `seed`, rewound to the start of any stream.
+
+    Stream t starts at counter t * 2**128: counter words (0, 0, t mod 2**64,
+    t >> 64) with the 4-word output buffer empty, exactly the state of a fresh
+    `Philox(key=seed, counter=t << 128)`.
+    """
+
+    def __init__(self, seed):
+        self._bitgen = np.random.Philox(key=_index(seed, "seed", 0, 2**64))
+        self._state = self._bitgen.state
+        self._generator = np.random.Generator(self._bitgen)
+
+    def at(self, stream) -> np.random.Generator:
+        """The generator, positioned at the first draw of `stream`."""
+        stream = _index(stream, "stream", 0, 2**128)
+        state = self._state
+        state["state"]["counter"] = [0, 0, stream & (2**64 - 1), stream >> 64]
+        state["buffer_pos"], state["has_uint32"], state["uinteger"] = 4, 0, 0
+        self._bitgen.state = state
+        return self._generator
+
+
 def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator: `seed` keys it, `stream` offsets the counter.
 
     Stream k starts at counter k * 2**128, leaving every stream an
-    astronomically long private block of the Philox sequence.
+    astronomically long private block of the Philox sequence.  `seed` must be
+    an integer in [0, 2**64) and `stream` one in [0, 2**128).
     """
-    if not 0 <= int(seed) < 2**64:
-        raise ValueError("seed must fit in 64 bits")
-    if stream < 0:
-        raise ValueError("stream index must be non-negative")
-    return np.random.Generator(np.random.Philox(key=int(seed), counter=int(stream) << 128))
+    return _PhiloxStreams(seed).at(stream)
 
 
 @dataclass(frozen=True)
@@ -74,36 +111,56 @@ class OutcomeSample:
     outcomes: np.ndarray
     seed: int
     stream: int = 0
+    _counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         out = np.asarray(self.outcomes, dtype=np.int64)
-        if out.size and (out.min() < 0 or out.max() >= self.model.n_outcomes):
+        if out.ndim != 1:
+            raise ValueError("outcomes must be a 1-d array of outcome ids")
+        n = self.model.n_outcomes
+        try:  # one pass both counts and checks the range
+            counts = np.bincount(out, minlength=n)
+            in_range = counts.size == n
+        except (ValueError, MemoryError):  # a negative id, or one too large to count
+            in_range = False
+        if not in_range:
             raise ValueError("sample contains outcome ids outside the model's POVM")
         out.setflags(write=False)
+        counts.setflags(write=False)
         object.__setattr__(self, "outcomes", out)
+        object.__setattr__(self, "_counts", counts)
 
     @property
     def m(self) -> int:
         return int(self.outcomes.size)
 
     def counts(self) -> np.ndarray:
-        return np.bincount(self.outcomes, minlength=self.model.n_outcomes)
+        """Read-only count of each outcome id, length `model.n_outcomes`."""
+        return self._counts
+
+
+class _TrialDraws:
+    """What a Monte-Carlo harness shares over its trials: the CDF of the
+    outcome probabilities `p` at the true phase and one Philox source."""
+
+    def __init__(self, p: np.ndarray, seed):
+        self.cdf = np.cumsum(p)
+        self.cdf[-1] = max(self.cdf[-1], 1.0)  # guard the top edge against round-off
+        self.streams = _PhiloxStreams(seed)
 
 
 def sample(model: ProbabilityModel, theta_true: float, m: int, seed: int,
-           stream: int = 0, *, p_true: np.ndarray | None = None) -> OutcomeSample:
+           stream: int = 0, *, draws: _TrialDraws | None = None) -> OutcomeSample:
     """Draw m outcomes by inverse CDF over the outcome table; deterministic in seed.
 
-    `p_true` is the row `model.probabilities(theta_true)` when the caller
-    already holds it (a harness drawing every trial at one angle).
+    `draws` is the CDF and Philox source a harness drawing every trial at
+    one angle builds once from `seed` and `model.probabilities(theta_true)`.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    p = model.probabilities(theta_true) if p_true is None else p_true
-    cdf = np.cumsum(p)
-    cdf[-1] = max(cdf[-1], 1.0)  # guard the top edge against round-off
-    u = philox_stream(seed, stream).random(m)
-    outcomes = np.searchsorted(cdf, u, side="right")
+    m = _index(m, "m", 1)
+    if draws is None:
+        draws = _TrialDraws(model.probabilities(theta_true), seed)
+    u = draws.streams.at(stream).random(m)
+    outcomes = draws.cdf.searchsorted(u, side="right")
     return OutcomeSample(model=model, theta_true=float(theta_true),
                          outcomes=outcomes, seed=int(seed), stream=int(stream))
 
@@ -234,8 +291,8 @@ def _count_matrix(model: ProbabilityModel, theta_true: float, m: int, trials: in
     every trial drawn from one P(theta_true)."""
     if trials < 1 or m < 1:
         raise ValueError("m and trials must both be >= 1")
-    p_true = model.probabilities(theta_true)
-    return np.array([sample(model, theta_true, m, seed, stream=t, p_true=p_true).counts()
+    draws = _TrialDraws(model.probabilities(theta_true), seed)
+    return np.array([sample(model, theta_true, m, seed, stream=t, draws=draws).counts()
                      for t in range(trials)])
 
 

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from spinmetro import estimation
 from spinmetro.estimation import (BAYES_GRID, BorderSupportError, DomainError,
-                                  MomentOutOfRangeError, PosteriorDistribution,
+                                  MomentOutOfRangeError, OutcomeSample,
+                                  PosteriorDistribution,
                                   bayes_monte_carlo, bayes_posterior,
                                   bayes_variance_bound,
                                   crlb_saturation_residual, kl_divergence,
@@ -43,6 +45,49 @@ class TestPhiloxStreams:
         with pytest.raises(ValueError):
             philox_stream(3, stream=-1)
 
+    @pytest.mark.parametrize("seed, stream, message", [
+        (1.7, 0, "seed must be an integer"),
+        (True, 0, "seed must be an integer"),
+        (np.float64(3.0), 0, "seed must be an integer"),
+        (-1, 0, "seed must be in"),
+        (1, 2**128, "stream must be in"),
+        (1, 2.0, "stream must be an integer"),
+        (1, False, "stream must be an integer"),
+    ])
+    def test_seed_and_stream_must_be_integers_in_range(self, seed, stream, message):
+        with pytest.raises(ValueError, match=message):
+            philox_stream(seed, stream)
+
+    def test_numpy_integers_are_accepted(self):
+        assert np.array_equal(philox_stream(np.uint64(9), np.int32(4)).random(5),
+                              philox_stream(9, 4).random(5))
+
+    STREAMS = (0, 1, 7, 2**64 - 1, 2**64, 2**100, 2**128 - 1)
+    # 1, 3, 4 and 5 draws end inside, at and just past Philox's 4-word buffer
+    DRAWS = (1, 3, 4, 5, 297)
+
+    @staticmethod
+    def _reference(seed, stream, m):
+        """A fresh generator whose counter starts at stream * 2**128."""
+        return np.random.Generator(np.random.Philox(key=seed, counter=stream << 128)).random(m)
+
+    @pytest.mark.parametrize("stream", STREAMS)
+    def test_stream_matches_an_independent_generator(self, stream):
+        seed = 2**64 - 3
+        for m in self.DRAWS:
+            assert np.array_equal(philox_stream(seed, stream).random(m),
+                                  self._reference(seed, stream, m))
+
+    def test_one_rewound_source_matches_every_stream(self):
+        source = estimation._PhiloxStreams(77)
+        for stream in self.STREAMS:
+            for m in self.DRAWS:
+                assert np.array_equal(source.at(stream).random(m),
+                                      self._reference(77, stream, m))
+        for stream in (5, 2, 5):  # out of order, and back to a stream already drawn
+            assert np.array_equal(source.at(stream).random(297),
+                                  self._reference(77, stream, 297))
+
 
 class TestSample:
     def test_point_mass_constant_sequence(self):
@@ -70,6 +115,41 @@ class TestSample:
     def test_m_must_be_positive(self, qubit_model):
         with pytest.raises(ValueError):
             sample(qubit_model, 0.1, 0, seed=3)
+
+    @pytest.mark.parametrize("m", [2.5, 3.0, True])
+    def test_m_must_be_an_integer(self, qubit_model, m):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            sample(qubit_model, 0.1, m, seed=3)
+
+    def test_non_integer_seed_is_rejected(self, qubit_model):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sample(qubit_model, 0.1, 10, seed=1.7)
+
+
+class TestOutcomeSample:
+    @pytest.mark.parametrize("outcomes", [[0, -1, 1], [0, 2, 1], [2**40]])
+    def test_ids_outside_the_povm_are_rejected(self, qubit_model, outcomes):
+        # the qubit model has 2 outcomes: ids 0 and 1
+        with pytest.raises(ValueError, match="outside the model's POVM"):
+            OutcomeSample(model=qubit_model, theta_true=0.3, outcomes=outcomes, seed=1)
+
+    def test_two_dimensional_outcomes_are_rejected(self, qubit_model):
+        with pytest.raises(ValueError, match="1-d"):
+            OutcomeSample(model=qubit_model, theta_true=0.3,
+                          outcomes=[[0, 1], [1, 1]], seed=1)
+
+    def test_counts_are_the_read_only_bincount(self, qubit_model):
+        draw = sample(qubit_model, 0.7, 500, seed=12, stream=3)
+        counts = draw.counts()
+        assert np.array_equal(counts, np.bincount(draw.outcomes, minlength=2))
+        assert counts.sum() == draw.m == 500
+        with pytest.raises(ValueError):
+            counts[0] = 0
+
+    def test_empty_sample_has_zero_counts(self, qubit_model):
+        draw = OutcomeSample(model=qubit_model, theta_true=0.3, outcomes=[], seed=1)
+        assert draw.m == 0
+        assert np.array_equal(draw.counts(), [0, 0])
 
 
 class TestLogLikelihood:

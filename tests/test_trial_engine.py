@@ -246,10 +246,27 @@ def test_harness_samples_every_trial_from_one_table_row(harness, ramsey, table_c
     assert per_run[0] == per_run[1]
 
 
+@pytest.mark.parametrize("harness", list(HARNESSES))
+def test_harness_keys_one_philox_generator(harness, ramsey, monkeypatch):
+    made = []
+    original = np.random.Philox
+
+    def counting(*args, **kwargs):
+        made.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    for trials in (20, 200):
+        del made[:]
+        HARNESSES[harness](ramsey, trials)
+        assert len(made) == 1
+
+
 def test_sample_from_a_given_row_matches_its_own_table(ramsey):
     p_true = ramsey.probabilities(0.6)
+    draws = estimation._TrialDraws(p_true, 8)
     for stream in (0, 3):
         own = sample(ramsey, 0.6, 50, 8, stream=stream)
-        given = sample(ramsey, 0.6, 50, 8, stream=stream, p_true=p_true)
+        given = sample(ramsey, 0.6, 50, 8, stream=stream, draws=draws)
         assert np.array_equal(own.outcomes, given.outcomes)
     assert np.array_equal(p_true, ramsey.probabilities(0.6))
