@@ -24,7 +24,7 @@ _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 #: default estimation window for probes whose statistics are even in theta
 DEFAULT_DOMAIN = (0.0, math.pi / 2)
-#: MLE: coarse grid points, then golden-section refinement to this bracket width
+#: MLE: coarse grid points, then Newton refinement until its bracket is this narrow
 MLE_GRID = 512
 MLE_TOL = 1e-7
 #: posterior grid points (flat prior)
@@ -35,7 +35,7 @@ CREDIBLE_MASS = 0.6827
 BORDER_TOL = 1e-8
 #: relative slack of the posterior variance below its bound (grid discretisation)
 GRID_RTOL = 1e-3
-#: method of moments: monotonicity-check grid points and bisection bracket width
+#: method of moments: monotonicity-check grid points, and Newton's stopping step or bracket
 MOMENTS_GRID = 256
 MOMENTS_TOL = 1e-12
 
@@ -186,49 +186,69 @@ class MleEstimate:
     boundary: bool
 
 
-#: trials per block of the grid stage, bounding its (trials x grid) scratch
+#: trials per block of the grid stage and of Newton's steps, bounding their scratch
 _GRID_BLOCK = 256
+#: Newton steps per block before a refinement gives up (bisection alone needs far fewer)
+_NEWTON_STEPS = 64
+
+
+def _newton(g, x, a, b, step_tol, width_tol):
+    """Row-wise roots of increasing functions in brackets [a, b], from x, in place.
+
+    `g(rows, x)` gives the values and slopes of the functions `rows` at x;
+    each call covers the open rows of one block of _GRID_BLOCK.  Each
+    value's sign moves its bracket to x and an exact zero keeps x; a step
+    outside the bracket (inclusive) or a slope <= 0 bisects it.  A row stops
+    once its step is <= step_tol or its bracket <= width_tol.
+    """
+    for start in range(0, x.size, _GRID_BLOCK):
+        rows = np.arange(start, min(start + _GRID_BLOCK, x.size))
+        for _ in range(_NEWTON_STEPS):
+            xr = x[rows]
+            val, slope = g(rows, xr)
+            ar = a[rows] = np.where(val < 0, xr, a[rows])
+            br = b[rows] = np.where(val > 0, xr, b[rows])
+            new = xr - val / np.where(slope > 0, slope, np.inf)
+            bisect = (slope <= 0) | ~((ar <= new) & (new <= br))
+            x[rows] = new = np.where(val == 0, xr, np.where(bisect, 0.5 * (ar + br), new))
+            rows = rows[(np.abs(new - xr) > step_tol) & (br - ar > width_tol)]
+            if not rows.size:
+                break
+        else:
+            raise StatisticalFailure(
+                f"{rows.size} trials did not converge in {_NEWTON_STEPS} Newton steps")
+    return x
 
 
 def _mle_refine(model, counts, domain):
-    """Row-wise MLE of a (trials, outcomes) count matrix.
+    """Row-wise MLE of a (trials, outcomes) count matrix, and the boundary flags.
 
-    The grid stage takes one product per block of trials.  Golden-section
-    search then refines every trial at once, one table call per step over
-    the trials whose bracket is still wider than MLE_TOL.  Returns the
-    estimates and the boundary flags.
+    The grid stage takes one product per block of trials.  From each trial's
+    best grid point, safeguarded Newton on the score S = sum n P'/P in
+    [best - 1, best + 1], with S' = sum n (P''/P - (P'/P)^2) and no term from
+    outcomes with P <= P_FLOOR, stops once a step is <= 1e-10 or the bracket
+    <= MLE_TOL.
     """
     lo, hi = _interval(domain)
     grid = np.linspace(lo, hi, MLE_GRID)
     logp_grid = _log_table(model, grid)
     best = np.concatenate([np.argmax(counts[i:i + _GRID_BLOCK] @ logp_grid.T, axis=1)
                            for i in range(0, len(counts), _GRID_BLOCK)])
-    a = grid[np.maximum(best - 1, 0)]
-    b = grid[np.minimum(best + 1, MLE_GRID - 1)]
 
-    def objective(thetas, rows=slice(None)):
-        return _vecdot(_log_table(model, thetas), counts[rows])
+    def minus_score(rows, x):
+        p, dp, d2p = model._tables(x, 2)
+        inv = np.divide(1.0, p, out=np.zeros_like(p), where=p > P_FLOOR)
+        ratio, n = dp * inv, counts[rows]
+        return -_vecdot(ratio, n), _vecdot(ratio ** 2 - d2p * inv, n)
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = objective(c), objective(d)
-    while (rows := np.flatnonzero(b - a > MLE_TOL)).size:
-        right = fc[rows] < fd[rows]
-        up, down = rows[right], rows[~right]
-        a[up], c[up], fc[up] = c[up], d[up], fd[up]
-        b[down], d[down], fd[down] = d[down], c[down], fc[down]
-        d[up] = a[up] + invphi * (b[up] - a[up])
-        c[down] = b[down] - invphi * (b[down] - a[down])
-        fresh = objective(np.where(right, d[rows], c[rows]), rows)
-        fd[up], fc[down] = fresh[right], fresh[~right]
-    est = 0.5 * (a + b)
+    est = _newton(minus_score, grid[best], grid[np.maximum(best - 1, 0)],
+                  grid[np.minimum(best + 1, MLE_GRID - 1)], 1e-10, MLE_TOL)
     boundary = (est - lo < 2 * MLE_TOL) | (hi - est < 2 * MLE_TOL)
     return est, boundary
 
 
 def mle(model: ProbabilityModel, outcomes, domain=DEFAULT_DOMAIN) -> MleEstimate:
-    """Maximum-likelihood phase: coarse grid then golden-section refinement.
+    """Maximum-likelihood phase: coarse grid, then safeguarded Newton on the score.
 
     The domain must be an interval on which the model is identifiable; a
     maximum on the domain boundary is flagged but still returned.
@@ -289,8 +309,7 @@ def _count_matrix(model: ProbabilityModel, theta_true: float, m: int, trials: in
                   seed: int) -> np.ndarray:
     """(trials, outcomes) outcome counts; row t is `sample` on Philox stream t,
     every trial drawn from one P(theta_true)."""
-    if trials < 1 or m < 1:
-        raise ValueError("m and trials must both be >= 1")
+    trials = _index(trials, "trials", 1)
     draws = _TrialDraws(model.probabilities(theta_true), seed)
     return np.array([sample(model, theta_true, m, seed, stream=t, draws=draws).counts()
                      for t in range(trials)])
@@ -509,13 +528,15 @@ def _moments_refine(model, c, counts, domain):
     predicted variances (Delta M)^2 / (m (d<M>/dphi)^2) at them.
 
     Checks once that <M>_phi is strictly monotone on MOMENTS_GRID points of the
-    domain and that every sample moment lies in its range, then bisects every
-    trial at once to a bracket of MOMENTS_TOL.
+    domain and that every sample moment lies in its range.  Safeguarded Newton
+    with slope dP . c then refines each root from its grid cell until a step
+    or the bracket is <= MOMENTS_TOL.
     """
     lo, hi = _interval(domain)
     m = counts.sum(axis=1)
     moments = counts @ c / m
-    f_grid = model.probability_table(np.linspace(lo, hi, MOMENTS_GRID)) @ c
+    grid = np.linspace(lo, hi, MOMENTS_GRID)
+    f_grid = model.probability_table(grid) @ c
     diffs = np.diff(f_grid)
     increasing = bool(np.all(diffs > 0))
     if not (increasing or np.all(diffs < 0)):
@@ -527,27 +548,27 @@ def _moments_refine(model, c, counts, domain):
             f"sample moment {moments[outside[0]]:.6g} outside the range "
             f"[{low:.6g}, {high:.6g}] of <M> over the domain"
         )
-    # left of the root <M> <= moment when <M> increases, and > moment when it decreases
-    a, b = np.full(len(counts), lo), np.full(len(counts), hi)
-    for _ in range(200):
-        rows = np.flatnonzero(b - a > MOMENTS_TOL)
-        if not rows.size:
-            break
-        mid = 0.5 * (a[rows] + b[rows])
-        left_of_root = (_vecdot(model.probability_table(mid), c) <= moments[rows]) == increasing
-        a[rows] = np.where(left_of_root, mid, a[rows])
-        b[rows] = np.where(left_of_root, b[rows], mid)
-    estimates = 0.5 * (a + b)
-    var, slope = moment_statistics(c, model.probability_table(estimates),
-                                   model.derivative_table(estimates))
+    # sign * (<M> - moment) increases; start on the chord of the grid cell holding its root
+    sign = 1.0 if increasing else -1.0
+    f_up, target = sign * f_grid, sign * moments
+    cell = np.clip(f_up.searchsorted(target), 1, MOMENTS_GRID - 1)
+    a, b = grid[cell - 1], grid[cell]
+    est = a + (target - f_up[cell - 1]) / (f_up[cell] - f_up[cell - 1]) * (b - a)
+
+    def residual(rows, x):
+        p, dp = model._tables(x, 1)
+        return sign * _vecdot(p, c) - target[rows], sign * _vecdot(dp, c)
+
+    est = _newton(residual, est, a, b, MOMENTS_TOL, MOMENTS_TOL)
+    var, slope = moment_statistics(c, *model._tables(est, 1))
     if np.any(np.abs(slope) < 1e-15):
         raise DomainError("d<M>/dphi vanishes at the estimate")
-    return estimates, var / (m * slope**2)
+    return est, var / (m * slope**2)
 
 
 def method_of_moments(model: ProbabilityModel, observable: np.ndarray, outcomes,
                       domain=DEFAULT_DOMAIN) -> MomentsEstimate:
-    """Invert the sample mean of M through f(phi) = <M>_phi (bisection).
+    """Invert the sample mean of M through f(phi) = <M>_phi (safeguarded Newton).
 
     f must be strictly monotone over the domain (checked on a grid); the
     predicted variance is (Delta M)^2 / (m (df/dphi)^2) at the estimate.

@@ -150,10 +150,11 @@ class ProbabilityModel:
 
         a_{r,j}(theta) = f_j^dag V e^{-i theta lam} V^dag sqrt(p_r) phi_r,
 
-        P(eps|theta) = sum_r sum_{j in eps} |a_{r,j}|^2,
-        dP/dtheta    = sum_r sum_{j in eps} 2 Re(a_{r,j}^* da_{r,j}/dtheta),
+        P(eps|theta)  = sum_r sum_{j in eps} |a_{r,j}|^2,
+        dP/dtheta     = sum_r sum_{j in eps} 2 Re(a_{r,j}^* a'_{r,j}),
+        d2P/dtheta2   = sum_r sum_{j in eps} 2 (|a'_{r,j}|^2 + Re(a_{r,j}^* a''_{r,j})),
 
-    with da/dtheta from the same phases times -i lam.  A table over T angles
+    with a' and a'' from the same phases times -i lam and -lam^2.  A table over T angles
     costs O(T R M dim) time for probe rank R and M POVM vectors, and
     O(M dim) memory.  Instances are immutable after construction and safe
     to share between threads.
@@ -188,35 +189,43 @@ class ProbabilityModel:
     def n_outcomes(self) -> int:
         return len(self.povm)
 
-    def _table(self, thetas, derivative: bool) -> np.ndarray:
+    def _tables(self, thetas, order: int = 0) -> np.ndarray:
+        """(order + 1, len(thetas), n_outcomes) stack: P, then dP and d2P up to `order`;
+        raises RuntimeError if P does not normalise."""
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         phases = np.exp(-1j * np.outer(thetas, self._lam))
-        table = np.zeros((thetas.size, self._povm_basis.shape[1]))
+        out = np.zeros((order + 1, thetas.size, self._povm_basis.shape[1]))
         for row in self._probe_rows:
             x = phases * row
             a = x @ self._povm_basis
-            if derivative:
-                da = (x * self._minus_i_lam) @ self._povm_basis
-                table += a.real * da.real + a.imag * da.imag
-            else:
-                table += a.real ** 2 + a.imag ** 2
-        table = np.add.reduceat(table, self.povm.starts, axis=1)
-        return 2.0 * table if derivative else table
+            out[0] += a.real ** 2 + a.imag ** 2
+            if order:
+                x *= self._minus_i_lam
+                da = x @ self._povm_basis
+                out[1] += a.real * da.real + a.imag * da.imag
+            if order > 1:
+                x *= self._minus_i_lam
+                dda = x @ self._povm_basis
+                out[2] += da.real ** 2 + da.imag ** 2 + a.real * dda.real + a.imag * dda.imag
+        if len(self.povm) < out.shape[2]:  # some outcome owns several vectors
+            out = np.add.reduceat(out, self.povm.starts, axis=2)
+        if order:
+            out[1:] *= 2.0
+        worst = np.abs(out[0].sum(axis=1) - 1.0).max()
+        if not worst <= 1e-10:  # a NaN angle must raise too
+            raise RuntimeError(f"probabilities do not normalise: defect {worst:.3e}")
+        return out
 
     def probability_table(self, thetas) -> np.ndarray:
         """(len(thetas), n_outcomes) table, non-negative by construction."""
-        table = self._table(thetas, derivative=False)
-        worst = float(np.max(np.abs(table.sum(axis=1) - 1.0)))
-        if worst > 1e-10:
-            raise RuntimeError(f"probabilities do not normalise: defect {worst:.3e}")
-        return table
+        return self._tables(thetas)[0]
 
     def probabilities(self, theta: float) -> np.ndarray:
         return self.probability_table([theta])[0]
 
     def derivative_table(self, thetas) -> np.ndarray:
         """dP/dtheta rows; analytic, equals Tr[E (-i)[J_n, rho(theta)]]."""
-        return self._table(thetas, derivative=True)
+        return self._tables(thetas, 1)[1]
 
     def derivatives(self, theta: float) -> np.ndarray:
         return self.derivative_table([theta])[0]

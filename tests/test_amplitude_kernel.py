@@ -18,17 +18,18 @@ THETAS = np.array([-1.9, -0.4, 0.0, 0.37, 1.2, 2.6])
 
 
 def dense_tables(probe, axis, elements, thetas):
-    """P = Tr[E U rho U^dag] and dP = Tr[E (-i)[J_n, U rho U^dag]], densely."""
+    """P = Tr[E rho], dP = Tr[E (-i)[J_n, rho]] and d2P = -Tr[E [J_n, [J_n, rho]]]
+    with rho = U rho0 U^dag, densely."""
     h = op_j(probe.space, axis)
     rho0 = probe.density_matrix()
-    probs, derivs = [], []
+    tables = []
     for theta in thetas:
         u = rotation(probe.space, axis, float(theta))
         rho = u @ rho0 @ dagger(u)
         drho = -1j * (h @ rho - rho @ h)
-        probs.append([np.trace(e @ rho).real for e in elements])
-        derivs.append([np.trace(e @ drho).real for e in elements])
-    return np.array(probs), np.array(derivs)
+        d2rho = -1j * (h @ drho - drho @ h)
+        tables.append([[np.trace(e @ r).real for e in elements] for r in (rho, drho, d2rho)])
+    return np.array(tables).transpose(1, 0, 2)
 
 
 def random_pure(rng, space):
@@ -80,9 +81,24 @@ def test_tables_match_dense_reference(n, probe_kind, povm_kind):
     rng = np.random.default_rng([n, len(probe_kind), len(povm_kind)])
     probe, axis, povm = build_case(rng, n, probe_kind, povm_kind)
     model = ProbabilityModel(probe, axis, povm)
-    ref_p, ref_dp = dense_tables(probe, axis, povm.elements, THETAS)
+    ref_p, ref_dp, ref_d2p = dense_tables(probe, axis, povm.elements, THETAS)
     assert max_abs(model.probability_table(THETAS) - ref_p) < 1e-12
     assert max_abs(model.derivative_table(THETAS) - ref_dp) < 1e-12
+    # the refinements' pass: one kernel, so P and dP are the tables' own bits
+    p, dp, d2p = model._tables(THETAS, 2)
+    assert np.array_equal(p, model.probability_table(THETAS))
+    assert np.array_equal(dp, model.derivative_table(THETAS))
+    assert max_abs(d2p - ref_d2p) < 1e-12
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_nan_angle_raises_instead_of_returning_nan_rows(order):
+    # a NaN defect compares False with any bound; slipping past the check, it
+    # would make fisher_information(model, nan) return F = 0
+    space = SpinSpace(4)
+    model = ProbabilityModel(twin_fock(space), "y", povm_number_counting(space))
+    with pytest.raises(RuntimeError, match="do not normalise"):
+        model._tables([0.3, math.nan], order)
 
 
 def test_dense_povm_factorisation_keeps_its_elements():

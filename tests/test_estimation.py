@@ -251,6 +251,13 @@ class TestMleMonteCarlo:
                              domain=(0.0, math.pi))
         assert r2.variance / r1.variance == pytest.approx(0.5, rel=0.25)
 
+    @pytest.mark.parametrize("harness", [mle_monte_carlo, bayes_monte_carlo])
+    @pytest.mark.parametrize("trials", [True, 2.5, 0])
+    def test_trials_must_be_a_positive_integer(self, qubit_model, harness, trials):
+        # True used to run one trial, and 2.5 failed inside range()
+        with pytest.raises(ValueError, match="trials must be"):
+            harness(qubit_model, 0.6, 50, trials, 3, domain=(0.0, math.pi))
+
     def test_trials_csv_export(self, qubit_model, tmp_path):
         rep = mle_monte_carlo(qubit_model, 0.8, m=30, trials=5, seed=3,
                               domain=(0.0, math.pi))

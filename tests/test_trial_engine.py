@@ -2,8 +2,10 @@
 
 Each Monte-Carlo harness draws one count matrix (row t from Philox stream t)
 and refines every trial at once; trial t must agree with the single-sample
-estimator run on `sample(..., stream=t)` and with a scalar one-trial-at-a-time
-reference of the same search.
+estimator run on `sample(..., stream=t)`, with an independent scalar search
+run one trial at a time (golden section for the MLE, bisection for the
+moments, where the engine runs safeguarded Newton), and with the closed-form
+estimates of the coherent probe.
 """
 
 import math
@@ -13,6 +15,7 @@ import pytest
 
 from spinmetro import estimation
 from spinmetro.estimation import (BorderSupportError, MomentOutOfRangeError,
+                                  StatisticalFailure,
                                   bayes_monte_carlo, bayes_posterior,
                                   bayes_variance_bound, method_of_moments, mle,
                                   mle_monte_carlo, moments_monte_carlo,
@@ -194,14 +197,16 @@ def test_later_trial_border_support_still_raises(ramsey):
 
 @pytest.fixture
 def table_calls(monkeypatch):
+    """Rows of every amplitude-kernel pass: each probability or derivative table,
+    and each refinement step, which calls the kernel directly."""
     calls = []
-    original = ProbabilityModel.probability_table
+    original = ProbabilityModel._tables
 
-    def counting(self, thetas):
+    def counting(self, thetas, order=0):
         calls.append(np.size(thetas))
-        return original(self, thetas)
+        return original(self, thetas, order)
 
-    monkeypatch.setattr(ProbabilityModel, "probability_table", counting)
+    monkeypatch.setattr(ProbabilityModel, "_tables", counting)
     return calls
 
 
@@ -243,7 +248,74 @@ def test_harness_samples_every_trial_from_one_table_row(harness, ramsey, table_c
         HARNESSES[harness](ramsey, trials)
         assert len(sample_calls) == trials
         per_run.append(len(table_calls))
-    assert per_run[0] == per_run[1]
+    # both runs are one block: at most 5 fixed passes (P at theta_true for the draws,
+    # the grid, P and dP there for the bound, the final moment pass), plus Newton
+    # steps whose number depends on the data but never exceeds their cap
+    assert max(per_run) <= 5 + estimation._NEWTON_STEPS
+
+
+def test_refinements_evaluate_few_kernel_rows_per_trial(ramsey, table_calls):
+    # a linearly converging search (golden section, bisection) needs 25 and 43 rows here
+    trials = 1000
+    counts = estimation._count_matrix(ramsey, 0.6, 100, trials, 5)
+    del table_calls[:]
+    estimation._mle_refine(ramsey, counts, (0.0, 1.5))
+    assert (sum(table_calls) - estimation.MLE_GRID) / trials <= 8
+    del table_calls[:]
+    c = povm_diagonal_coefficients(ramsey.povm, op_jz(ramsey.space))
+    estimation._moments_refine(ramsey, c, counts, (0.1, 1.2))
+    assert (sum(table_calls) - estimation.MOMENTS_GRID) / trials <= 8
+
+
+@pytest.mark.parametrize("n", [4, 20, 250])
+def test_estimates_match_coherent_closed_form(n):
+    # css about y with counting: <J_z> = -j sin(theta), and J_z is binomial, so the
+    # MLE and the moment estimate both equal arcsin(-Mbar / j) inside the domain
+    space = SpinSpace(n)
+    model = ProbabilityModel(coherent_spin(space, math.pi / 2), "y",
+                             povm_number_counting(space))
+    domain, m, trials = (-1.5, 1.5), 50, 40
+    j = n / 2
+    counts = estimation._count_matrix(model, 0.6, m, trials, SEED)
+    closed = np.arcsin(-(counts @ np.array(model.outcome_labels)) / m / j)
+    inside = (closed > domain[0]) & (closed < domain[1])
+    assert inside.sum() >= trials - 2
+    mle_rep = mle_monte_carlo(model, 0.6, m, trials, SEED, domain=domain)
+    moments_rep = moments_monte_carlo(model, op_jz(space), 0.6, m, trials, SEED,
+                                      domain=domain)
+    assert np.max(np.abs(mle_rep.estimates - closed)[inside]) <= 1e-12
+    assert np.max(np.abs(moments_rep.estimates - closed)[inside]) <= 1e-12
+
+
+def test_newton_keeps_an_exact_zero():
+    # value and slope both vanish at x: bisection would move it to the midpoint
+    x = estimation._newton(lambda rows, x: ((x - 0.3) ** 3, 3 * (x - 0.3) ** 2),
+                           np.array([0.3]), np.array([0.0]), np.array([1.0]), 0.0, 0.0)
+    assert x[0] == 0.3
+
+
+def test_newton_takes_a_step_onto_the_bracket_end():
+    # the first step lands exactly on b; an exclusive test would bisect instead
+    calls = []
+
+    def g(rows, x):
+        calls.append(x.size)
+        return x - 1.0, np.ones_like(x)
+
+    x = estimation._newton(g, np.array([0.0]), np.array([0.0]), np.array([1.0]), 0.0, 0.0)
+    assert x[0] == 1.0 and len(calls) == 2
+
+
+def test_newton_names_the_trials_it_cannot_converge():
+    # rows 1 and 2 have zero slopes, so they bisect towards 1e-300 and run out of steps
+    roots = np.array([0.5, 1e-300, 1e-300])
+
+    def g(rows, x):
+        return x - roots[rows], np.where(rows == 0, 1.0, 0.0)
+
+    with pytest.raises(StatisticalFailure,
+                       match=f"^2 trials did not converge in {estimation._NEWTON_STEPS} "):
+        estimation._newton(g, np.full(3, 0.9), np.zeros(3), np.ones(3), 0.0, 0.0)
 
 
 @pytest.mark.parametrize("harness", list(HARNESSES))
