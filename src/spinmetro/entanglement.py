@@ -117,16 +117,9 @@ def entanglement_depth(fisher_value: float, n: int, h_range: float = 1.0,
             f"Fisher value {fisher_value} is infeasible for N={n} "
             f"(ceiling {ceiling})"
         )
-    rows = []
-    depth = n
-    for k in range(1, n + 1):
-        s, r = divmod(n, k)
-        bound = h_range**2 * (s * k**2 + r**2)
-        rows.append((k, s, r, bound))
-    for k, _, _, bound in rows:
-        if fisher_value <= bound + 1e-9:
-            depth = k
-            break
+    rows = [(k, *divmod(n, k), k_bound(n, k, h_range)) for k in range(1, n + 1)]
+    # the k = n bound is the ceiling, so the feasibility check guarantees a match
+    depth = next(k for k, _, _, bound in rows if fisher_value <= bound + 1e-9)
     return DepthReport(n_particles=n, fisher_value=float(fisher_value),
                        fisher_source=fisher_source, h_range=float(h_range),
                        bounds=tuple(rows), depth=depth)

@@ -592,8 +592,7 @@ def moments_monte_carlo(model: ProbabilityModel, observable: np.ndarray,
     counts = _count_matrix(model, theta_true, m, trials, seed)
     c = povm_diagonal_coefficients(model.povm, observable)
     estimates, predictions = _moments_refine(model, c, counts, domain)
-    var, slope = moment_statistics(c, model.probabilities(theta_true),
-                                   model.derivatives(theta_true))
+    var, slope = moment_statistics(c, *model._tables([theta_true], 1)[:, 0])
     return EstimationReport(
         estimator="moments", theta_true=float(theta_true), m=int(m), seed=int(seed),
         estimates=estimates, crlb=float(var / (m * slope**2)),
@@ -607,8 +606,7 @@ def kl_divergence(model: ProbabilityModel, theta: float, phi: float) -> float:
     Returns math.inf when P(.|phi) vanishes somewhere P(.|theta) does not.
     Non-negative, zero if and only if the distributions coincide.
     """
-    p = model.probabilities(theta)
-    q = model.probabilities(phi)
+    p, q = model.probability_table([theta, phi])
     mask = p > P_FLOOR
     if np.any(q[mask] <= P_FLOOR):
         return math.inf
@@ -628,8 +626,7 @@ def crlb_saturation_residual(model: ProbabilityModel, theta: float,
     values = np.asarray(estimator_values, dtype=float)
     if values.shape != (model.n_outcomes,):
         raise ValueError("need one estimator value per outcome")
-    p = model.probabilities(theta)
-    dp = model.derivatives(theta)
+    p, dp = model._tables([theta], 1)[:, 0]
     mask = p > P_FLOOR
     score = dp[mask] / p[mask]
     mean = float(values @ p)

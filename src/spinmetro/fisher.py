@@ -25,10 +25,9 @@ from .states import MixedState, PureState, State, spectral_support
 
 #: probabilities at or below this are treated as vanishing
 P_FLOOR = 1e-12
-#: derivative magnitude separating truly flat outcomes from l'Hopital ones
+#: derivative magnitude separating flat vanishing outcomes (excluded from F)
+#: from ones near a zero of P (kept, as (dP)^2/P)
 D_FLOOR = 1e-9
-#: step of the central difference behind the l'Hopital limit of F
-LIMIT_STEP = 1e-4
 
 # row-wise dot product; numpy < 2 lacks vecdot and falls back to einsum
 _vecdot = getattr(np, "vecdot", None) or (lambda a, b: np.einsum("...k,...k->...", a, b))
@@ -249,21 +248,18 @@ class FisherReport:
 def fisher_information(model: ProbabilityModel, theta: float) -> FisherReport:
     """Classical Fisher information F(theta) = sum_eps (dP/dtheta)^2 / P.
 
-    Outcomes with P <= P_FLOOR and |dP| <= D_FLOOR are excluded (and flagged);
-    outcomes with P <= P_FLOOR but |dP| > D_FLOOR get the one-sided limit
-    2 * d2P/dtheta2 (de l'Hopital at a zero of P), with the second derivative
-    by central finite difference of step LIMIT_STEP.
+    P and dP come from one kernel pass.  Outcomes with P <= P_FLOOR are
+    flagged: "excluded" ones (|dP| <= D_FLOOR) add 0, "limit" ones keep
+    (dP)^2/P.  There P > 0, since P = 0 forces every amplitude and so dP to 0,
+    and by Cauchy-Schwarz (2 Re sum a* a')^2 / sum |a|^2 <= 4 sum |a'|^2,
+    so the ratio stays bounded as P approaches its zero.
     """
-    p = model.probabilities(theta)
-    dp = model.derivatives(theta)
+    p, dp = model._tables([theta], 1)[:, 0]
     live = p > P_FLOOR
     limit = ~live & (np.abs(dp) > D_FLOOR)
+    kept = live | limit
     contributions = np.zeros_like(p)
-    contributions[live] = dp[live] ** 2 / p[live]
-    if limit.any():
-        lo, mid, hi = model.probability_table([theta - LIMIT_STEP, theta, theta + LIMIT_STEP])
-        second = (hi[limit] - 2.0 * mid[limit] + lo[limit]) / LIMIT_STEP**2
-        contributions[limit] = 2.0 * second
+    contributions[kept] = dp[kept] ** 2 / p[kept]
     labels = model.outcome_labels
     return FisherReport(
         theta=float(theta),
@@ -490,7 +486,7 @@ def fisher_lower_bound_moment(
     the model; a vanishing variance leaves the bound undefined.
     """
     c = povm_diagonal_coefficients(model.povm, observable)
-    var, slope = moment_statistics(c, model.probabilities(theta), model.derivatives(theta))
+    var, slope = moment_statistics(c, *model._tables([theta], 1)[:, 0])
     if var < P_FLOOR:
         raise ValueError("zero variance of the observable: moment bound undefined")
     return float(slope**2 / var)

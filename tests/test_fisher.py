@@ -191,12 +191,12 @@ class TestFisherInformation:
 
     def test_limit_and_excluded_outcomes_near_a_zero_of_p(self):
         # |j, j> rotated by 1e-7 about y: P(mu = -1) ~ 1e-30 with dP ~ 1e-22 is
-        # excluded, P(mu = 0) ~ 5e-15 with dP ~ 1e-7 takes the limit 2 P'' = 2 = N
+        # excluded, P(mu = 0) ~ 5e-15 with dP ~ 1e-7 keeps (dP)^2/P, which is N = 2
         space = SpinSpace(2)
         model = ProbabilityModel(spin_polarized(space), "y", povm_number_counting(space))
         rep = fisher_information(model, 1e-7)
         assert rep.flagged == ((-1.0, "excluded"), (0.0, "limit"))
-        assert rep.fi == pytest.approx(2.0, rel=1e-6)
+        assert rep.fi == pytest.approx(2.0, rel=1e-12)
 
 
 class TestQfi:
