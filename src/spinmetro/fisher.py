@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import dagger, eig_hermitian, max_abs, max_eig_sym3
-from .spins import SpinAxis, SpinSpace, j_spectrum, op_j, spin_action
+from .spins import SpinAxis, SpinSpace, core_spectrum, op_j, spin_action
 from .states import MixedState, PureState, State, spectral_support
 
 #: probabilities at or below this are treated as vanishing
@@ -28,6 +28,9 @@ P_FLOOR = 1e-12
 #: derivative magnitude separating flat vanishing outcomes (excluded from F)
 #: from ones near a zero of P (kept, as (dP)^2/P)
 D_FLOOR = 1e-9
+#: complex elements per phase array of a probability table; its angles run in
+#: blocks of this many divided by the dimension
+_TABLE_BLOCK = 2**19
 
 # row-wise dot product; numpy < 2 lacks vecdot and falls back to einsum
 _vecdot = getattr(np, "vecdot", None) or (lambda a, b: np.einsum("...k,...k->...", a, b))
@@ -41,10 +44,11 @@ class Povm:
     """Positive-operator valued measure, stored by its structure.
 
     Outcome eps owns the columns f_j of `vectors` from ``starts[eps]`` up to
-    the next outcome's start, and E(eps) = sum_{j in eps} f_j f_j^dag.  The
-    number-counting and probe-projection factories write the vectors
-    directly.  Dense `elements` are checked (Hermitian, positive
-    semidefinite, resolving the identity) and factorised once through eigh;
+    the next outcome's start, and E(eps) = sum_{j in eps} f_j f_j^dag.
+    `vectors` is None for number counting, whose vectors are the Dicke basis
+    itself; the probe-projection factory writes its vectors directly.  Dense
+    `elements` are checked (finite, Hermitian, positive semidefinite,
+    resolving the identity) and factorised once through eigh;
     eigenvectors whose weight is round-off (below dim * eps of the largest)
     are dropped, but each outcome keeps at least its top eigenvector.
     """
@@ -59,6 +63,8 @@ class Povm:
         for e in mats:
             if e.shape != (dim, dim):
                 raise ValueError("POVM elements must share one square shape")
+            if not np.all(np.isfinite(e)):
+                raise ValueError("POVM element has non-finite entries")
             if max_abs(e - dagger(e)) > 1e-10:
                 raise ValueError("POVM element is not Hermitian")
             w, u = np.linalg.eigh(e)
@@ -75,45 +81,48 @@ class Povm:
         self._set(labels, np.hstack(columns), np.cumsum([0] + sizes[:-1]))
 
     @classmethod
-    def _from_vectors(cls, labels, vectors: np.ndarray, starts) -> "Povm":
-        """POVM from vectors that resolve the identity by construction."""
+    def _from_vectors(cls, labels, vectors: np.ndarray | None, starts) -> "Povm":
+        """POVM from vectors that resolve the identity by construction
+        (None: the Dicke basis, one vector per start)."""
         povm = cls.__new__(cls)
         povm._set(labels, vectors, starts)
         return povm
 
     def _set(self, labels, vectors, starts) -> None:
-        vectors = np.asarray(vectors, dtype=complex)
         starts = np.asarray(starts, dtype=np.intp)
-        vectors.setflags(write=False)
         starts.setflags(write=False)
+        if vectors is not None:
+            vectors = np.asarray(vectors, dtype=complex)
+            vectors.setflags(write=False)
         self.labels = tuple(labels)
         self.vectors = vectors
         self.starts = starts
 
     @property
     def dim(self) -> int:
-        return self.vectors.shape[0]
+        return self.starts.size if self.vectors is None else self.vectors.shape[0]
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def sizes(self) -> np.ndarray:
         """Number of vectors per outcome."""
-        return np.diff(self.starts, append=self.vectors.shape[1])
+        return np.diff(self.starts, append=self.dim if self.vectors is None
+                       else self.vectors.shape[1])
 
     @property
     def elements(self) -> tuple:
         """Dense E(eps), built on demand for inspection; evaluation never needs them."""
+        f = np.eye(self.dim, dtype=complex) if self.vectors is None else self.vectors
         ends = self.starts + self.sizes()
-        return tuple(self.vectors[:, a:b] @ dagger(self.vectors[:, a:b])
-                     for a, b in zip(self.starts, ends))
+        return tuple(f[:, a:b] @ dagger(f[:, a:b]) for a, b in zip(self.starts, ends))
 
 
 def povm_number_counting(space: SpinSpace) -> Povm:
-    """Particle-number measurement: the Dicke basis |j,mu>, one vector per outcome."""
+    """Particle-number measurement: the Dicke basis |j,mu>, one vector per outcome,
+    stored by that structure alone."""
     labels = tuple(float(m) for m in space.mu)
-    return Povm._from_vectors(labels, np.eye(space.dim, dtype=complex),
-                              np.arange(space.dim))
+    return Povm._from_vectors(labels, None, np.arange(space.dim))
 
 
 def povm_probe_projection(probe: PureState) -> Povm:
@@ -134,18 +143,21 @@ def povm_probe_projection(probe: PureState) -> Povm:
     return Povm._from_vectors(("probe", "orthogonal"), reflection, [0, 1])
 
 
-def _is_identity(a: np.ndarray) -> bool:
-    """True for the square identity, checked without forming a dense one."""
-    return (a.shape[0] == a.shape[1] and np.count_nonzero(a) == a.shape[0]
-            and bool(np.all(a.diagonal() == 1)))
+def _times(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """basis @ x for a complex matrix x.  A real basis multiplies the (re, im)
+    view of x as one real product; numpy would promote it to complex."""
+    if np.isrealobj(basis):
+        return (basis @ np.ascontiguousarray(x).view(float)).view(complex)
+    return basis @ x
 
 
 class ProbabilityModel:
     """theta -> outcome probability table for (probe, axis, POVM).
 
-    With J_n = V diag(lam) V^dag, rho0 = sum_r p_r |phi_r><phi_r| over the
-    eigenvectors with p_r > 0 (one term for a pure probe) and the POVM
-    vectors f_j, every table comes from the amplitudes
+    With J_n = V diag(lam) V^dag, V = D W (`core_spectrum`: W real, D a diagonal
+    phase), rho0 = sum_r p_r |phi_r><phi_r| over the eigenvectors with p_r > 0
+    (one term for a pure probe) and the POVM vectors f_j, every table comes
+    from the amplitudes
 
         a_{r,j}(theta) = f_j^dag V e^{-i theta lam} V^dag sqrt(p_r) phi_r,
 
@@ -153,10 +165,13 @@ class ProbabilityModel:
         dP/dtheta     = sum_r sum_{j in eps} 2 Re(a_{r,j}^* a'_{r,j}),
         d2P/dtheta2   = sum_r sum_{j in eps} 2 (|a'_{r,j}|^2 + Re(a_{r,j}^* a''_{r,j})),
 
-    with a' and a'' from the same phases times -i lam and -lam^2.  A table over T angles
-    costs O(T R M dim) time for probe rank R and M POVM vectors, and
-    O(M dim) memory.  Instances are immutable after construction and safe
-    to share between threads.
+    with a' and a'' from the same phases times -i lam and -lam^2.  The model keeps
+    the probe columns V^dag sqrt(p_r) phi_r and the basis G = F^dag V, in which
+    D is folded; for number counting G = W, since |D_jj| = 1 drops out of every
+    table, and the phased columns meet it in one real product.  A table over
+    T angles costs O(T R M dim) time for probe rank R and M POVM vectors, and
+    O(M dim) memory: its angles run in blocks of _TABLE_BLOCK / dim.
+    Instances are immutable after construction and safe to share between threads.
     """
 
     def __init__(self, probe: State, axis, povm: Povm):
@@ -167,18 +182,15 @@ class ProbabilityModel:
         self.axis = axis
         self.povm = povm
         self.space = probe.space
-        dec = j_spectrum(probe.space, axis)
-        v = dec.eigenvectors
-        self._lam = dec.eigenvalues
-        self._minus_i_lam = -1j * dec.eigenvalues
-        # rows V^dag sqrt(p_r) phi_r = conj((sqrt(p_r) phi_r)^dag V): the probe in
-        # the generator's eigenbasis, without a dense copy of V^dag
+        w, phase = core_spectrum(probe.space, axis)
+        self._lam = probe.space.mu
+        self._minus_i_lam = -1j * self._lam[:, None]
+        # columns V^dag sqrt(p_r) phi_r = W^T D^* sqrt(p_r) phi_r: the probe in the
+        # generator's eigenbasis
         p, phi = spectral_support(probe)
-        self._probe_rows = (dagger(phi * np.sqrt(p)) @ v).conj()
-        # (F^dag V)^T: phased probe rows times it give the amplitudes a_{r,j};
-        # number counting has F = I, so it is V^T
+        self._probe_columns = _times(w.T, phase.conj()[:, None] * phi * np.sqrt(p))
         f = povm.vectors
-        self._povm_basis = v.T if _is_identity(f) else (dagger(f) @ v).T
+        self._povm_basis = w if f is None else _times(w.T, phase[:, None] * f.conj()).T
 
     @property
     def outcome_labels(self) -> tuple:
@@ -192,20 +204,25 @@ class ProbabilityModel:
         """(order + 1, len(thetas), n_outcomes) stack: P, then dP and d2P up to `order`;
         raises RuntimeError if P does not normalise."""
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        phases = np.exp(-1j * np.outer(thetas, self._lam))
-        out = np.zeros((order + 1, thetas.size, self._povm_basis.shape[1]))
-        for row in self._probe_rows:
-            x = phases * row
-            a = x @ self._povm_basis
-            out[0] += a.real ** 2 + a.imag ** 2
-            if order:
-                x *= self._minus_i_lam
-                da = x @ self._povm_basis
-                out[1] += a.real * da.real + a.imag * da.imag
-            if order > 1:
-                x *= self._minus_i_lam
-                dda = x @ self._povm_basis
-                out[2] += da.real ** 2 + da.imag ** 2 + a.real * dda.real + a.imag * dda.imag
+        basis = self._povm_basis
+        out = np.zeros((order + 1, thetas.size, basis.shape[0]))
+        rows = max(1, _TABLE_BLOCK // self.space.dim)
+        for start in range(0, thetas.size, rows):
+            block = out[:, start:start + rows]
+            phases = np.exp(-1j * np.outer(self._lam, thetas[start:start + rows]))
+            for column in self._probe_columns.T:
+                x = phases * column[:, None]
+                a = _times(basis, x)
+                block[0] += (a.real ** 2 + a.imag ** 2).T
+                if order:
+                    x *= self._minus_i_lam
+                    da = _times(basis, x)
+                    block[1] += (a.real * da.real + a.imag * da.imag).T
+                if order > 1:
+                    x *= self._minus_i_lam
+                    dda = _times(basis, x)
+                    block[2] += (da.real ** 2 + da.imag ** 2
+                                 + a.real * dda.real + a.imag * dda.imag).T
         if len(self.povm) < out.shape[2]:  # some outcome owns several vectors
             out = np.add.reduceat(out, self.povm.starts, axis=2)
         if order:
@@ -448,17 +465,19 @@ def povm_diagonal_coefficients(povm: Povm, observable: np.ndarray) -> np.ndarray
     """Coefficients c_eps with M = sum_eps c_eps E(eps); rejects other observables.
 
     c_eps = Tr[M E(eps)] / Tr[E(eps)], read off the POVM vectors as
-    sum_{j in eps} f_j^dag M f_j over sum_{j in eps} |f_j|^2.  When the
-    vectors are the identity (number counting) that is the diagonal of M,
-    and M must vanish off it; no dim x dim product is formed.
+    sum_{j in eps} f_j^dag M f_j over sum_{j in eps} |f_j|^2.  For number
+    counting that is the diagonal of M, and M must vanish off it; no
+    dim x dim product is formed.  Rejects M with non-finite entries.
     """
     observable = np.asarray(observable, dtype=complex)
+    if not np.all(np.isfinite(observable)):
+        raise ValueError("observable has non-finite entries")
     f = povm.vectors
-    if _is_identity(f):
+    if f is None:
         sizes = povm.sizes()
         coeffs = np.add.reduceat(observable.diagonal().real, povm.starts) / sizes
         # the off-diagonal entries of a C-ordered square matrix, viewed without a copy
-        n = f.shape[0]
+        n = povm.dim
         off = observable.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
         defect = max(max_abs(off), max_abs(observable.diagonal() - np.repeat(coeffs, sizes)))
     else:

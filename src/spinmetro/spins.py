@@ -17,10 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpectralDecomposition, eig_hermitian, max_abs, unitary_from_spectrum
+from .linalg import SpectralDecomposition, max_abs, unitary_from_spectrum
 
-#: largest max|lambda - mu| accepted from the eigensolver of J_n, relative to max(1, j)
+#: largest residual max|T w - mu w| and norm defect |w^T w - 1| accepted for an
+#: eigenvector column w of the core of J_n, relative to max(1, j)
 SPECTRUM_TOL = 1e-10
+
+#: elements per scratch array of the eigenvector kernel; its eigenvalue columns
+#: run in blocks of this many divided by the dimension
+_SPECTRUM_BLOCK = 2**20
+
+#: added to every pivot of the twisted factorisation, so none is exactly zero
+_PIVMIN = math.sqrt(np.finfo(float).tiny)
 
 #: above this j the direct closed-form evaluation of the rotation matrix
 #: elements starts losing digits; callers get a warning instead of silence
@@ -161,26 +169,107 @@ def op_j(space: SpinSpace, axis) -> np.ndarray:
 def j_spectrum(space: SpinSpace, axis) -> SpectralDecomposition:
     """J_n = V diag(mu) V^dag with the eigenvalues exactly mu = -j .. j, ascending.
 
-    With n = (sin b cos f, sin b sin f, cos b), J_n = D T D^dag for the real
-    symmetric tridiagonal core T = sin b Jx + cos b Jz and the diagonal phase
-    D = diag(e^{-i f (mu + j)}) (the exact diagonalisation of Feng, Wang, Yang &
-    Jin, PRE 92, 043307 (2015)).  One real eigh T = W diag(lam) W^T gives V = D W;
-    lam is checked against mu to SPECTRUM_TOL * max(1, j) and replaced by it.
+    No eigenvalue is computed.  V = D W, with the real eigenvectors W and the
+    phase D of `core_spectrum`, whose columns are accepted on their unit norm
+    and residual (SPECTRUM_TOL).
+    """
+    w, phase = core_spectrum(space, axis)
+    return SpectralDecomposition(eigenvalues=space.mu, eigenvectors=phase[:, None] * w)
+
+
+def core_spectrum(space: SpinSpace, axis) -> tuple[np.ndarray, np.ndarray]:
+    """(W, D) with J_n = D T D^dag and T W = W diag(mu), W real orthogonal.
+
+    With n = (sin b cos f, sin b sin f, cos b), T = sin b Jx + cos b Jz is a real
+    symmetric tridiagonal core and D = diag(e^{-i f (mu + j)}) (the exact
+    diagonalisation of Feng, Wang, Yang & Jin, PRE 92, 043307 (2015)).  The
+    eigenvalues of T are exactly mu, so no eigenvalue is computed: each column
+    of W comes in O(dim) from a twisted factorisation of T - mu (Parlett &
+    Dhillon, LAA 267 (1997); Dhillon & Parlett, LAA 387 (2004)), and T is read
+    from the ladder coefficients, never formed densely.  Each column is checked
+    for unit norm and a residual max|T w - mu w| within SPECTRUM_TOL * max(1, j);
+    neighbouring eigenvalues are 1 apart, so that residual also bounds the
+    column's distance from the true eigenvector.
     D is the running product of e^{-i f}, so the ratio of neighbouring entries,
     which is all J_n sees, keeps round-off accuracy at any N; evaluating
     e^{-i f mu} directly would lose |f mu| ulps in every entry.
     """
     nx, ny, nz = SpinAxis.from_spec(axis).vector
-    # the core is passed on unnamed, so its memory is freed before V is formed
-    dec = eig_hermitian(np.ascontiguousarray(op_j(space, (math.hypot(nx, ny), 0.0, nz)).real))
-    mu = space.mu
-    defect = max_abs(dec.eigenvalues - mu)
-    if defect > SPECTRUM_TOL * max(1.0, space.j):
-        raise RuntimeError(f"spectrum of J_n misses mu = -j .. j by {defect:.3e}")
-    step = np.full(space.dim, np.exp(-1j * math.atan2(ny, nx)))
+    diagonal = nz * space.mu
+    ladder = math.hypot(nx, ny) * _half_ladder(space)
+    n, dim = space.n_particles, space.dim
+    step = np.full(dim, np.exp(-1j * math.atan2(ny, nx)))
     step[0] = 1.0
-    phase = np.cumprod(step)
-    return SpectralDecomposition(eigenvalues=mu, eigenvectors=phase[:, None] * dec.eigenvectors)
+    if not ladder.any():  # n = +-z: T = +-Jz is diagonal already
+        return (np.eye(dim) if nz > 0 else np.eye(dim)[::-1].copy()), np.cumprod(step)
+    w = np.empty((dim, dim))
+    # T is mapped to -T by the signed reversal (S z)_k = (-1)^k z_{N-k}, exactly
+    # in floating point, so S takes the eigenvector of mu to that of -mu
+    half = n // 2 + 1
+    cols = max(1, _SPECTRUM_BLOCK // dim)
+    for start in range(0, half, cols):
+        stop = min(start + cols, half)
+        with np.errstate(all="ignore"):  # a failed column turns into NaN, caught below
+            defect = _twisted_eigenvectors(diagonal, ladder, space.mu[start:stop],
+                                           w[:, start:stop])
+        if not defect <= SPECTRUM_TOL * max(1.0, space.j):  # NaN-proof
+            raise RuntimeError(f"eigenvectors of J_n miss mu = -j .. j: residual {defect:.3e}")
+    sign = np.where(np.arange(dim) % 2, -1.0, 1.0)
+    np.multiply(sign[:, None], w[::-1, n - half::-1], out=w[:, half:])
+    return w, np.cumprod(step)
+
+
+def _twisted_eigenvectors(diagonal, ladder, lam, out) -> float:
+    """Write the unit eigenvectors of the tridiagonal T (`diagonal`, off-diagonal
+    `ladder`) for its exact eigenvalues `lam` into the columns of `out`; return
+    their largest residual max|T w - lam w| or norm defect |w^T w - 1|.
+
+    T - lam = L D+ L^T (pivots d_k, top down) = U D- U^T (pivots u_k, bottom up);
+    at the twist r the eigenvector is z_r = 1, z_k = -b_k z_{k+1} / d_k above and
+    z_{k+1} = -b_k z_k / u_{k+1} below.  r minimises |gamma_k| plus its rounding
+    bound eps (|s_k| + |p_k|), where gamma_k = (a_k - lam) + s_k + p_k with
+    s_k = -b_{k-1}^2 / d_{k-1} and p_k = -b_k^2 / u_{k+1}.  Where z_k vanishes,
+    as every other entry does at a zero diagonal and lam = 0, s_k and p_k are
+    huge and cancel, so the bound keeps the twist off such k.
+    """
+    b = ladder[:, None]
+    b2 = ladder * ladder
+    shifted = diagonal[:, None] - lam
+    # pivots d_k, u_k and the terms -s_k = b_{k-1}^2 / d_{k-1}, -p_k = b_k^2 / u_{k+1}
+    down, up, minus_s, minus_p = (np.empty_like(shifted) for _ in range(4))
+    dim = shifted.shape[0]
+    minus_s[0] = minus_p[-1] = 0.0
+    down[0] = shifted[0] + _PIVMIN
+    for k in range(1, dim):
+        np.divide(b2[k - 1], down[k - 1], out=minus_s[k])
+        np.subtract(shifted[k], minus_s[k], out=down[k])
+        down[k] += _PIVMIN
+    up[-1] = shifted[-1] + _PIVMIN
+    for k in range(dim - 2, -1, -1):
+        np.divide(b2[k], up[k + 1], out=minus_p[k])
+        np.subtract(shifted[k], minus_p[k], out=up[k])
+        up[k] += _PIVMIN
+    bound = np.abs(shifted - minus_s - minus_p) + np.finfo(float).eps * (
+        np.abs(minus_s) + np.abs(minus_p))
+    twist = np.argmin(bound, axis=0)
+    # ratios z_k / z_{k+1} above the twist and z_{k+1} / z_k below it, 1 elsewhere,
+    # multiplied out from the twist; row by row, as cumprod down a column is slower
+    rows = np.arange(dim - 1)[:, None]
+    np.divide(-b, down[:-1], out=down[:-1])
+    np.copyto(down[:-1], 1.0, where=rows >= twist)
+    down[-1] = 1.0
+    np.divide(-b, up[1:], out=up[1:])
+    np.copyto(up[1:], 1.0, where=rows < twist)
+    up[0] = 1.0
+    for k in range(dim - 2, -1, -1):
+        down[k] *= down[k + 1]
+        up[dim - 1 - k] *= up[dim - 2 - k]
+    np.multiply(down, up, out=out)
+    out /= np.sqrt(np.einsum("kc,kc->c", out, out))
+    residual = np.multiply(shifted, out, out=shifted)
+    residual[1:] += b * out[:-1]
+    residual[:-1] += b * out[1:]
+    return float(np.maximum(max_abs(residual), max_abs(np.einsum("kc,kc->c", out, out) - 1.0)))
 
 
 def op_ladder_plus(space: SpinSpace) -> np.ndarray:

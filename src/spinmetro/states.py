@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import SpectralDecomposition, dagger, eig_hermitian, max_abs
-from .spins import SpinAxis, SpinSpace, j_spectrum
+from .spins import SpinAxis, SpinSpace
 
 NORM_TOL = 1e-12
 EIGENVALUE_CLAMP = 1e-12
@@ -180,13 +180,14 @@ def noon(space: SpinSpace) -> PureState:
 
 
 def ghz_along(space: SpinSpace, axis) -> PureState:
-    """Equal superposition of the extremal eigenstates of J_n; for n = z this is noon."""
+    """(|j,j>_n + |j,-j>_n)/sqrt(2), the extremal eigenstates of J_n being the
+    coherent states along n and -n; for n = z this is noon."""
     axis = SpinAxis.from_spec(axis)
     if axis.vector == (0.0, 0.0, 1.0):
         return noon(space)
-    dec = j_spectrum(space, axis)
-    v_min = _fix_global_phase(dec.eigenvectors[:, 0].copy())
-    v_max = _fix_global_phase(dec.eigenvectors[:, -1].copy())
+    nx, ny, nz = axis.vector
+    v_min, v_max = (coherent_spin(space, math.atan2(math.hypot(nx, ny), s * nz),
+                                  math.atan2(s * ny, s * nx)).amplitudes for s in (-1.0, 1.0))
     amp = (v_min + v_max) / math.sqrt(2.0)
     amp = amp / np.linalg.norm(amp)
     return PureState(space, _fix_global_phase(amp))

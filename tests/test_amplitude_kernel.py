@@ -155,7 +155,7 @@ def test_counting_coefficients_reject_non_diagonal_observables():
 
 
 def test_counting_coefficients_match_general_path():
-    # a permuted identity is not `_is_identity`, so it takes the general path
+    # a permuted identity is not the counting POVM, so it takes the general path
     rng = np.random.default_rng(11)
     space = SpinSpace(9)
     observable = np.diag(rng.normal(size=space.dim) * 1e3) + 1e-10 * rng.normal(
@@ -175,8 +175,8 @@ def test_counting_coefficients_match_general_path():
 
 
 def test_counting_model_build_forms_no_dense_povm_product():
-    # V (complex) and the real eigenvectors W are N^2 each; a dense F^dag V or a
-    # complex eigh of J_n adds another complex N^2 = 64 MiB at N = 2048
+    # the real eigenvectors W (32 MiB at N = 2048) are the only N^2 array; a dense
+    # F^dag V or a complex eigh of J_n adds a complex N^2 = 64 MiB
     space = SpinSpace(2048)
     probe, povm = coherent_spin(space, math.pi / 2), povm_number_counting(space)
     tracemalloc.start()
@@ -186,6 +186,35 @@ def test_counting_model_build_forms_no_dense_povm_product():
     finally:
         tracemalloc.stop()
     assert peak < 150 * 2**20
+
+
+def test_counting_model_build_at_n4096_fits_256_mib():
+    # the real eigenvectors W take 128 MiB; a dense complex identity for the
+    # POVM would take 256 MiB on its own
+    space = SpinSpace(4096)
+    probe = coherent_spin(space, math.pi / 2)
+    tracemalloc.start()
+    try:
+        ProbabilityModel(probe, "y", povm_number_counting(space))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**20
+
+
+def test_povm_rejects_non_finite_elements():
+    # NaN fails every `>` comparison of the Hermitian, PSD and identity checks
+    with pytest.raises(ValueError, match="non-finite"):
+        Povm(labels=("a", "b"), elements=(np.full((2, 2), np.nan), np.eye(2)))
+
+
+def test_diagonal_coefficients_reject_non_finite_observables():
+    space = SpinSpace(4)
+    observable = op_jz(space)
+    observable[2, 2] = np.nan
+    for povm in (povm_number_counting(space), povm_probe_projection(noon(space))):
+        with pytest.raises(ValueError, match="non-finite"):
+            povm_diagonal_coefficients(povm, observable)
 
 
 class TestLargeN:

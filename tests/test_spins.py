@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from spinmetro import spins
 from spinmetro.linalg import dagger, max_abs
-from spinmetro.spins import (ReducedAccuracyWarning, SpinAxis, SpinSpace,
-                             beam_splitter, casimir, j_spectrum, mach_zehnder,
-                             op_j, op_jx, op_jy, op_jz, op_ladder_plus,
-                             phase_shifter, rotation, wigner_d,
+from spinmetro.spins import (SPECTRUM_TOL, ReducedAccuracyWarning, SpinAxis,
+                             SpinSpace, beam_splitter, casimir, core_spectrum,
+                             j_spectrum, mach_zehnder, op_j, op_jx, op_jy, op_jz,
+                             op_ladder_plus, phase_shifter, rotation, wigner_d,
                              wigner_d_matrix)
 
 
@@ -162,13 +162,77 @@ class TestJSpectrum:
         assert max_abs(dec.reconstruct() - op_j(space, axis)) < 1e-12
 
     def test_corrupted_core_raises(self, monkeypatch):
-        exact = spins.op_j
-        monkeypatch.setattr(spins, "op_j",
-                            lambda space, axis: exact(space, axis) + 1e-3 * np.eye(space.dim))
-        with pytest.raises(RuntimeError, match="misses mu"):
+        # ladder coefficients 1e-3 too large move the spectrum of the core off mu
+        exact = spins._half_ladder
+        monkeypatch.setattr(spins, "_half_ladder", lambda space: exact(space) + 1e-3)
+        with pytest.raises(RuntimeError, match="miss mu"):
             j_spectrum(SpinSpace(6), "y")
-        with pytest.raises(RuntimeError, match="misses mu"):
+        with pytest.raises(RuntimeError, match="miss mu"):
             rotation(SpinSpace(6), "x", 0.3)
+
+
+KERNEL_SIZES = (1, 2, 3, 4, 5, 6, 7, 12, 40, 100, 101, 250, 1000)
+# axis at polar angle beta, by beta; pi/2 exactly through x, y and -y, pi through -z
+KERNEL_AXES = {
+    "0": "z",
+    **{name: (math.sin(beta), 0.0, math.cos(beta))
+       for name, beta in (("1e-8", 1e-8), ("0.3", 0.3), ("1", 1.0), ("pi-1e-8", math.pi - 1e-8))},
+    "x": "x", "y": "y", "-y": (0.0, -1.0, 0.0), "-z": (0.0, 0.0, -1.0),
+}
+
+
+def core_action(space, axis, w):
+    """T w for the core T = sin(b) Jx + cos(b) Jz of J_n, from the closed-form
+    ladder coefficients sqrt(j(j+1) - mu(mu+1))/2, one column block at a time."""
+    nx, ny, nz = SpinAxis.from_spec(axis).vector
+    mu = space.mu
+    off = math.hypot(nx, ny) * np.sqrt(space.j * (space.j + 1) - mu[:-1] * (mu[:-1] + 1)) / 2
+    out = nz * mu[:, None] * w
+    out[1:] += off[:, None] * w[:-1]
+    out[:-1] += off[:, None] * w[1:]
+    return out
+
+
+def core_residual(space, axis, w, block=256):
+    """max |T w - mu w| over the columns of w, the eigenvalue of column c being mu[c]."""
+    return max(max_abs(core_action(space, axis, w[:, c:c + block]) - w[:, c:c + block]
+                       * space.mu[c:c + block]) for c in range(0, space.dim, block))
+
+
+class TestTwistedKernel:
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    @pytest.mark.parametrize("axis", KERNEL_AXES.values(), ids=KERNEL_AXES.keys())
+    def test_unit_orthogonal_columns_with_small_residual(self, n, axis):
+        space = SpinSpace(n)
+        w, phase = core_spectrum(space, axis)
+        assert w.dtype == np.float64 and max_abs(np.abs(phase) - 1.0) < 1e-14
+        assert max_abs(np.einsum("kc,kc->c", w, w) - 1.0) < 1e-12
+        assert max_abs(w.T @ w - np.eye(space.dim)) < 1e-12
+        assert core_residual(space, axis, w) <= SPECTRUM_TOL * max(1.0, space.j)
+
+    @pytest.mark.parametrize("n", [n for n in KERNEL_SIZES if n % 2 == 0])
+    @pytest.mark.parametrize("axis", ["x", "y", (0.0, -1.0, 0.0)], ids=["x", "y", "-y"])
+    def test_zero_eigenvalue_at_zero_diagonal(self, n, axis):
+        # T = Jx has a zero diagonal, so every other pivot of T - 0 vanishes and
+        # the mu = 0 eigenvector is zero on every odd index
+        space = SpinSpace(n)
+        w = core_spectrum(space, axis)[0][:, n // 2]
+        assert np.all(np.isfinite(w))
+        assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+        assert max_abs(core_action(space, axis, w[:, None])) < 1e-12
+        assert max_abs(w[1::2]) < 1e-12
+        if n <= 100:  # the closed form d^j_{m,0}(pi/2), inside its accuracy range
+            d = np.array([wigner_d(space.j, m, 0.0, math.pi / 2) for m in space.mu])
+            assert min(max_abs(w - d), max_abs(w + d)) < 1e-12
+
+    def test_n4096(self):
+        space = SpinSpace(4096)
+        axis = (math.sin(1.0), 0.0, math.cos(1.0))
+        w, _ = core_spectrum(space, axis)
+        assert max_abs(np.einsum("kc,kc->c", w, w) - 1.0) < 1e-12
+        assert core_residual(space, axis, w) <= SPECTRUM_TOL * space.j
+        sample = w[:, np.linspace(0, space.n_particles, 64).astype(int)]
+        assert max_abs(sample.T @ sample - np.eye(64)) < 1e-12
 
 
 class TestRotations:

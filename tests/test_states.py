@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from spinmetro.linalg import max_abs
-from spinmetro.spins import SpinSpace, op_j, op_jx, op_jy, op_jz, rotation
-from spinmetro.states import (MixedState, PureState, coherent_spin,
+from spinmetro.fisher import qfi, spin_moments
+from spinmetro.linalg import eig_hermitian, max_abs
+from spinmetro.spins import SpinAxis, SpinSpace, op_j, op_jx, op_jy, op_jz, rotation
+from spinmetro.states import (MixedState, PureState, _fix_global_phase, coherent_spin,
                               expectation, fock, ghz_along, mix, noon,
                               spin_polarized, state_from_json, state_to_json,
                               twin_fock, variance)
@@ -116,6 +117,30 @@ class TestNoonAndGhz:
             overlap = abs(state.amplitudes.conj() @ (u @ state.amplitudes)) ** 2
             assert overlap == pytest.approx(
                 math.cos(space.n_particles * theta / 2) ** 2, abs=1e-10)
+
+
+def extremal_eigenvector_ghz(space, axis):
+    """GHZ from the extremal eigenvectors of a dense complex eigh of J_n."""
+    v = eig_hermitian(op_j(space, axis)).eigenvectors
+    amp = sum(_fix_global_phase(v[:, k].copy()) for k in (0, -1)) / math.sqrt(2.0)
+    return _fix_global_phase(amp / np.linalg.norm(amp))
+
+
+class TestGhzFromCoherentStates:
+    @pytest.mark.parametrize("n", [5, 20, 250])
+    @pytest.mark.parametrize("axis", ["x", "y", (0.0, 0.0, -1.0), (0.3, -0.5, 0.81)])
+    def test_matches_extremal_eigenvectors(self, n, axis):
+        space = SpinSpace(n)
+        assert max_abs(ghz_along(space, axis).amplitudes
+                       - extremal_eigenvector_ghz(space, axis)) < 1e-13
+
+    @pytest.mark.parametrize("axis", ["y", (0.3, -0.5, 0.81)])
+    def test_heisenberg_qfi_at_n4096(self, axis):
+        n = 4096
+        state = ghz_along(SpinSpace(n), axis)
+        direction = SpinAxis.from_spec(axis).as_array()
+        assert abs(direction @ spin_moments(state).means) < 1e-9 * n
+        assert qfi(state, axis) == pytest.approx(n * n, rel=1e-12)
 
 
 class TestMix:
