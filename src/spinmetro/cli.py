@@ -29,7 +29,7 @@ from .fisher import (ProbabilityModel, bound_heisenberg, bound_shot_noise,
                      fisher_information, optimal_axis, povm_number_counting,
                      povm_probe_projection, qfi, spin_moments)
 from .reporting import csv_text, json_safe, posterior_table, trial_table
-from .spins import SpinAxis, SpinSpace, op_jz
+from .spins import SpinAxis, SpinSpace
 from .states import (PureState, coherent_spin, fock, ghz_along, mix, noon,
                      state_from_json, twin_fock)
 
@@ -315,8 +315,8 @@ def cmd_moments(config: RunConfig):
     domain = _require_domain(config)
     if config.theta is None:
         raise ConfigError("moments needs --theta (the true phase)")
-    observable = op_jz(model.space)
-    report = moments_monte_carlo(model, observable, config.theta, config.m,
+    # J_z, which is diagonal in the Dicke basis, as its diagonal mu
+    report = moments_monte_carlo(model, model.space.mu, config.theta, config.m,
                                  config.trials, config.seed, domain=domain)
     predictions = report.variance_predictions
     results = {

@@ -46,9 +46,11 @@ class Povm:
     Outcome eps owns the columns f_j of `vectors` from ``starts[eps]`` up to
     the next outcome's start, and E(eps) = sum_{j in eps} f_j f_j^dag.
     `vectors` is None for number counting, whose vectors are the Dicke basis
-    itself; the probe-projection factory writes its vectors directly.  Dense
-    `elements` are checked (finite, Hermitian, positive semidefinite,
-    resolving the identity) and factorised once through eigh;
+    itself.  With `complement` set, the vectors F are orthonormal without
+    spanning the space, and one last outcome is their complement I - F F^dag,
+    which is never formed: the probe projection stores the probe as its one
+    vector.  Dense `elements` are checked (finite, Hermitian, positive
+    semidefinite, resolving the identity) and factorised once through eigh;
     eigenvectors whose weight is round-off (below dim * eps of the largest)
     are dropped, but each outcome keeps at least its top eigenvector.
     """
@@ -81,14 +83,16 @@ class Povm:
         self._set(labels, np.hstack(columns), np.cumsum([0] + sizes[:-1]))
 
     @classmethod
-    def _from_vectors(cls, labels, vectors: np.ndarray | None, starts) -> "Povm":
-        """POVM from vectors that resolve the identity by construction
-        (None: the Dicke basis, one vector per start)."""
+    def _from_vectors(cls, labels, vectors: np.ndarray | None, starts,
+                      complement: bool = False) -> "Povm":
+        """POVM from vectors that resolve the identity by construction, with
+        their complement as the last outcome (None: the Dicke basis, one vector
+        per start)."""
         povm = cls.__new__(cls)
-        povm._set(labels, vectors, starts)
+        povm._set(labels, vectors, starts, complement)
         return povm
 
-    def _set(self, labels, vectors, starts) -> None:
+    def _set(self, labels, vectors, starts, complement: bool = False) -> None:
         starts = np.asarray(starts, dtype=np.intp)
         starts.setflags(write=False)
         if vectors is not None:
@@ -97,6 +101,7 @@ class Povm:
         self.labels = tuple(labels)
         self.vectors = vectors
         self.starts = starts
+        self.complement = complement
 
     @property
     def dim(self) -> int:
@@ -106,16 +111,20 @@ class Povm:
         return len(self.labels)
 
     def sizes(self) -> np.ndarray:
-        """Number of vectors per outcome."""
-        return np.diff(self.starts, append=self.dim if self.vectors is None
-                       else self.vectors.shape[1])
+        """Number of vectors per outcome; the complement counts its rank dim - M."""
+        stored = self.dim if self.vectors is None else self.vectors.shape[1]
+        sizes = np.diff(self.starts, append=stored)
+        return np.append(sizes, self.dim - stored) if self.complement else sizes
 
     @property
     def elements(self) -> tuple:
         """Dense E(eps), built on demand for inspection; evaluation never needs them."""
         f = np.eye(self.dim, dtype=complex) if self.vectors is None else self.vectors
-        ends = self.starts + self.sizes()
-        return tuple(f[:, a:b] @ dagger(f[:, a:b]) for a, b in zip(self.starts, ends))
+        ends = np.append(self.starts[1:], f.shape[1])
+        elements = [f[:, a:b] @ dagger(f[:, a:b]) for a, b in zip(self.starts, ends)]
+        if self.complement:
+            elements.append(np.eye(self.dim) - f @ dagger(f))
+        return tuple(elements)
 
 
 def povm_number_counting(space: SpinSpace) -> Povm:
@@ -128,19 +137,11 @@ def povm_number_counting(space: SpinSpace) -> Povm:
 def povm_probe_projection(probe: PureState) -> Povm:
     """Two outcomes: the probe, and its orthogonal complement ("orthogonal").
 
-    The vectors are the columns of the Householder reflection that maps |0>
-    onto the probe (up to a global phase), so the first column spans the
-    probe and the others complete it to an orthonormal basis in O(dim^2).
+    The probe is the one stored vector and the complement I - |psi><psi| is
+    the last outcome, so the POVM takes O(dim) memory.
     """
-    psi = probe.amplitudes
-    # the reflection maps |0> to phase * psi; this phase makes u[0] = 1 + |psi_0|,
-    # so forming u never cancels
-    phase = -abs(psi[0]) / psi[0] if psi[0] != 0 else -1.0
-    u = -phase * psi
-    u[0] += 1.0
-    reflection = np.eye(probe.space.dim, dtype=complex) \
-        - (2.0 / np.vdot(u, u).real) * np.outer(u, u.conj())
-    return Povm._from_vectors(("probe", "orthogonal"), reflection, [0, 1])
+    return Povm._from_vectors(("probe", "orthogonal"), probe.amplitudes[:, None], [0],
+                              complement=True)
 
 
 def _times(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -151,15 +152,39 @@ def _times(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
     return basis @ x
 
 
+def _phases(lam: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """(dim, T) phases e^{-i theta lam} for the ascending lam = -j .. j.
+
+    cos - i sin is evaluated on lam >= 0 only; since lam_k = -lam_{dim-1-k}
+    exactly, the other half is its mirror image conjugated.  With numpy 2.4 on
+    glibc that is bit-identical to np.exp of the imaginary argument, at about
+    half the cost.
+    """
+    dim = lam.size
+    half = dim // 2
+    arg = np.outer(-lam[half:], thetas)
+    out = np.empty((dim, thetas.size), dtype=complex)
+    np.cos(arg, out=out[half:].real)
+    np.sin(arg, out=out[half:].imag)
+    np.conjugate(out[::-1][:half], out=out[:half])
+    return out
+
+
+def _column_inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Re sum_i u_ij^* v_ij for every column j of two C-ordered complex arrays,
+    as one real contraction of their (re, im) views."""
+    return np.einsum("ij,ij->j", u.view(float), v.view(float)).reshape(-1, 2).sum(axis=1)
+
+
 class ProbabilityModel:
     """theta -> outcome probability table for (probe, axis, POVM).
 
     With J_n = V diag(lam) V^dag, V = D W (`core_spectrum`: W real, D a diagonal
-    phase), rho0 = sum_r p_r |phi_r><phi_r| over the eigenvectors with p_r > 0
-    (one term for a pure probe) and the POVM vectors f_j, every table comes
-    from the amplitudes
+    phase), rho0 = sum_r p_r |phi_r><phi_r| over its support (one term for a
+    pure probe) and the POVM vectors f_j, every table comes from the columns
+    x_r(theta) = e^{-i theta lam} V^dag sqrt(p_r) phi_r and their amplitudes
 
-        a_{r,j}(theta) = f_j^dag V e^{-i theta lam} V^dag sqrt(p_r) phi_r,
+        a_{r,j}(theta) = f_j^dag V x_r(theta),
 
         P(eps|theta)  = sum_r sum_{j in eps} |a_{r,j}|^2,
         dP/dtheta     = sum_r sum_{j in eps} 2 Re(a_{r,j}^* a'_{r,j}),
@@ -168,7 +193,10 @@ class ProbabilityModel:
     with a' and a'' from the same phases times -i lam and -lam^2.  The model keeps
     the probe columns V^dag sqrt(p_r) phi_r and the basis G = F^dag V, in which
     D is folded; for number counting G = W, since |D_jj| = 1 drops out of every
-    table, and the phased columns meet it in one real product.  A table over
+    table, and the phased columns meet it in one real product.  A complement
+    outcome I - F F^dag takes the same sums over the residual r = x - G^dag a,
+    the part of x outside the span of the rows of G, which are orthonormal; its
+    derivatives are r' = x' - G^dag a' and r'' = x'' - G^dag a''.  A table over
     T angles costs O(T R M dim) time for probe rank R and M POVM vectors, and
     O(M dim) memory: its angles run in blocks of _TABLE_BLOCK / dim.
     Instances are immutable after construction and safe to share between threads.
@@ -191,6 +219,10 @@ class ProbabilityModel:
         self._probe_columns = _times(w.T, phase.conj()[:, None] * phi * np.sqrt(p))
         f = povm.vectors
         self._povm_basis = w if f is None else _times(w.T, phase[:, None] * f.conj()).T
+        # G^dag, which maps amplitudes back onto the span of the POVM vectors
+        self._span = dagger(self._povm_basis) if povm.complement else None
+        listed = self._povm_basis.shape[0]
+        self._segments = np.append(povm.starts, listed) if povm.complement else povm.starts
 
     @property
     def outcome_labels(self) -> tuple:
@@ -204,27 +236,39 @@ class ProbabilityModel:
         """(order + 1, len(thetas), n_outcomes) stack: P, then dP and d2P up to `order`;
         raises RuntimeError if P does not normalise."""
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        basis = self._povm_basis
-        out = np.zeros((order + 1, thetas.size, basis.shape[0]))
+        basis, span = self._povm_basis, self._span
+        listed = basis.shape[0]
+        out = np.zeros((order + 1, thetas.size, listed + (span is not None)))
         rows = max(1, _TABLE_BLOCK // self.space.dim)
         for start in range(0, thetas.size, rows):
             block = out[:, start:start + rows]
-            phases = np.exp(-1j * np.outer(self._lam, thetas[start:start + rows]))
+            phases = _phases(self._lam, thetas[start:start + rows])
             for column in self._probe_columns.T:
                 x = phases * column[:, None]
-                a = _times(basis, x)
-                block[0] += (a.real ** 2 + a.imag ** 2).T
+                a, r = [], []  # derivatives of the amplitudes and of the residual
+                for k in range(order + 1):
+                    if k:
+                        x *= self._minus_i_lam
+                    a.append(_times(basis, x))
+                    if span is not None:  # x - G^dag a, in the buffer of G^dag a
+                        r.append(span @ a[k])
+                        np.subtract(x, r[k], out=r[k])
+                listed_block = block[..., :listed]
+                listed_block[0] += (a[0].real ** 2 + a[0].imag ** 2).T
                 if order:
-                    x *= self._minus_i_lam
-                    da = _times(basis, x)
-                    block[1] += (a.real * da.real + a.imag * da.imag).T
+                    listed_block[1] += (a[0].real * a[1].real + a[0].imag * a[1].imag).T
                 if order > 1:
-                    x *= self._minus_i_lam
-                    dda = _times(basis, x)
-                    block[2] += (da.real ** 2 + da.imag ** 2
-                                 + a.real * dda.real + a.imag * dda.imag).T
+                    listed_block[2] += (a[1].real ** 2 + a[1].imag ** 2
+                                        + a[0].real * a[2].real + a[0].imag * a[2].imag).T
+                if span is not None:
+                    block[0, :, listed] += _column_inner(r[0], r[0])
+                    if order:
+                        block[1, :, listed] += _column_inner(r[0], r[1])
+                    if order > 1:
+                        block[2, :, listed] += (_column_inner(r[1], r[1])
+                                                + _column_inner(r[0], r[2]))
         if len(self.povm) < out.shape[2]:  # some outcome owns several vectors
-            out = np.add.reduceat(out, self.povm.starts, axis=2)
+            out = np.add.reduceat(out, self._segments, axis=2)
         if order:
             out[1:] *= 2.0
         worst = np.abs(out[0].sum(axis=1) - 1.0).max()
@@ -465,28 +509,47 @@ def povm_diagonal_coefficients(povm: Povm, observable: np.ndarray) -> np.ndarray
     """Coefficients c_eps with M = sum_eps c_eps E(eps); rejects other observables.
 
     c_eps = Tr[M E(eps)] / Tr[E(eps)], read off the POVM vectors as
-    sum_{j in eps} f_j^dag M f_j over sum_{j in eps} |f_j|^2.  For number
+    sum_{j in eps} f_j^dag M f_j over sum_{j in eps} |f_j|^2; a complement
+    outcome takes Tr M minus the sum over every f_j, over dim - M.  For number
     counting that is the diagonal of M, and M must vanish off it; no
-    dim x dim product is formed.  Rejects M with non-finite entries.
+    dim x dim product is formed.  A 1-d `observable` is the diagonal of a
+    diagonal M, which counting reads in O(dim).  Rejects M with non-finite
+    entries.
     """
     observable = np.asarray(observable, dtype=complex)
     if not np.all(np.isfinite(observable)):
         raise ValueError("observable has non-finite entries")
+    if observable.shape not in ((povm.dim,), (povm.dim, povm.dim)):
+        raise ValueError(f"observable of shape {observable.shape} does not act on "
+                         f"dimension {povm.dim}")
     f = povm.vectors
     if f is None:
         sizes = povm.sizes()
-        coeffs = np.add.reduceat(observable.diagonal().real, povm.starts) / sizes
-        # the off-diagonal entries of a C-ordered square matrix, viewed without a copy
-        n = povm.dim
-        off = observable.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
-        defect = max(max_abs(off), max_abs(observable.diagonal() - np.repeat(coeffs, sizes)))
+        diag = observable if observable.ndim == 1 else observable.diagonal()
+        coeffs = np.add.reduceat(diag.real, povm.starts) / sizes
+        defect = max_abs(diag - np.repeat(coeffs, sizes))
+        if observable.ndim == 2:
+            # the off-diagonal entries of a C-ordered square matrix, viewed without a copy
+            n = povm.dim
+            defect = max(max_abs(observable.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]),
+                         defect)
     else:
+        if observable.ndim == 1:
+            observable = np.diag(observable)
         diag = np.sum(f.conj() * (observable @ f), axis=0).real
-        tr = np.add.reduceat(np.sum(f.real ** 2 + f.imag ** 2, axis=0), povm.starts)
+        norms = np.sum(f.real ** 2 + f.imag ** 2, axis=0)
+        num = np.add.reduceat(diag, povm.starts)
+        tr = np.add.reduceat(norms, povm.starts)
+        if povm.complement:
+            num = np.append(num, np.trace(observable).real - diag.sum())
+            tr = np.append(tr, povm.dim - norms.sum())
         if np.any(tr <= 0):
             raise ValueError("POVM element with non-positive trace")
-        coeffs = np.add.reduceat(diag, povm.starts) / tr
-        recon = (f * np.repeat(coeffs, povm.sizes())) @ dagger(f)
+        coeffs = num / tr
+        # M = F diag(c - c_rest) F^dag + c_rest I, with c_rest that of the complement
+        listed, rest = povm.starts.size, coeffs[-1] if povm.complement else 0.0
+        recon = (f * np.repeat(coeffs[:listed] - rest, povm.sizes()[:listed])) @ dagger(f)
+        recon[np.diag_indices(povm.dim)] += rest
         defect = max_abs(observable - recon)
     if defect > 1e-8:
         raise ValueError(

@@ -7,7 +7,8 @@ positive, which keeps golden tests deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,25 +53,22 @@ class PureState:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
-@dataclass(frozen=True)
 class MixedState:
-    """Density matrix with its spectral decomposition cached at construction.
+    """Density matrix rho = sum_r p_r |phi_r><phi_r|, stored by its support.
 
-    Eigenvalues in [-1e-12, 0) from round-off are clamped to zero and the
-    spectrum renormalised; the stored rho is rebuilt from the clamped
-    spectrum so downstream probabilities stay strictly non-negative.
+    `MixedState(space, rho)` validates a dense rho and takes its spectrum from
+    eig_hermitian: eigenvalues in [-1e-12, 0) from round-off are clamped to
+    zero and the spectrum renormalised, and the stored rho is rebuilt from the
+    clamped spectrum so downstream probabilities stay strictly non-negative.
+    `mix` builds the state from a factor instead (`_from_factor`), with no
+    dim x dim array.  The dense `rho` and the full `spectrum` are formed on
+    demand and cached; evaluation reads only the support.
     """
 
-    space: SpinSpace
-    rho: np.ndarray
-    spectrum: SpectralDecomposition = field(init=False, repr=False)
-
-    def __post_init__(self):
-        rho = np.array(self.rho, dtype=complex)
-        if rho.shape != (self.space.dim, self.space.dim):
-            raise ValueError(
-                f"expected a {self.space.dim}x{self.space.dim} density matrix"
-            )
+    def __init__(self, space: SpinSpace, rho):
+        rho = np.array(rho, dtype=complex)
+        if rho.shape != (space.dim, space.dim):
+            raise ValueError(f"expected a {space.dim}x{space.dim} density matrix")
         asym = max_abs(rho - dagger(rho))
         if asym > 1e-12:
             raise ValueError(f"density matrix not Hermitian: |rho - rho^dag| = {asym:.3e}")
@@ -85,11 +83,47 @@ class MixedState:
             )
         w = np.clip(w, 0.0, None)
         w = w / np.sum(w)
-        dec = SpectralDecomposition(eigenvalues=w, eigenvectors=dec.eigenvectors)
-        rho = dec.reconstruct()
+        self.spectrum = SpectralDecomposition(eigenvalues=w, eigenvectors=dec.eigenvectors)
+        self.rho = self.spectrum.reconstruct()
+        self.rho.setflags(write=False)
+        keep = w > 0
+        self._set(space, w[keep], dec.eigenvectors[:, keep])
+
+    @classmethod
+    def _from_factor(cls, space: SpinSpace, b: np.ndarray) -> "MixedState":
+        """rho = B B^dag for a (dim, K) factor B with unit trace, from the K x K Gram
+        matrix B^dag B = U diag(g) U^dag in O(dim K^2): the weights are the g above
+        round-off, 16 K eps max g, and the support columns B U / sqrt(g).  (K copies
+        of one column give spurious g of up to about 3 eps max g.)"""
+        dec = eig_hermitian(dagger(b) @ b)
+        g = dec.eigenvalues
+        keep = g > 16 * g.size * np.finfo(float).eps * g[-1]
+        g = g[keep]
+        state = cls.__new__(cls)
+        state._set(space, g / np.sum(g), (b @ dec.eigenvectors[:, keep]) / np.sqrt(g))
+        return state
+
+    def _set(self, space: SpinSpace, weights: np.ndarray, columns: np.ndarray) -> None:
+        weights.setflags(write=False)
+        columns.setflags(write=False)
+        self.space = space
+        self._weights = weights
+        self._columns = columns
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        rho = (self._columns * self._weights) @ dagger(self._columns)
         rho.setflags(write=False)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "spectrum", dec)
+        return rho
+
+    @cached_property
+    def spectrum(self) -> SpectralDecomposition:
+        """Every eigenvalue, ascending: zeros on a kernel basis that completes the
+        support to a unitary (from a complete QR of the support columns)."""
+        p, phi = self._weights, self._columns
+        kernel = np.linalg.qr(phi, mode="complete")[0][:, p.size:]
+        return SpectralDecomposition(eigenvalues=np.concatenate([np.zeros(kernel.shape[1]), p]),
+                                     eigenvectors=np.hstack([kernel, phi]))
 
     def density_matrix(self) -> np.ndarray:
         return self.rho
@@ -105,9 +139,7 @@ def spectral_support(state: State) -> tuple[np.ndarray, np.ndarray]:
     """
     if isinstance(state, PureState):
         return np.ones(1), state.amplitudes[:, None]
-    dec = state.spectrum
-    keep = dec.eigenvalues > 0
-    return dec.eigenvalues[keep], dec.eigenvectors[:, keep]
+    return state._weights, state._columns
 
 
 def expectation(state: State, operator: np.ndarray) -> complex:
@@ -194,7 +226,11 @@ def ghz_along(space: SpinSpace, axis) -> PureState:
 
 
 def mix(components) -> MixedState:
-    """Convex combination of states: iterable of (weight, PureState|MixedState)."""
+    """Convex combination of states: iterable of (weight, PureState|MixedState).
+
+    The factor B holds every component's support columns scaled by
+    sqrt(weight * p_r), so rho = B B^dag with one column per pure component.
+    """
     components = list(components)
     if not components:
         raise ValueError("mix needs at least one component")
@@ -208,8 +244,11 @@ def mix(components) -> MixedState:
     for s in states[1:]:
         if s.space != space:
             raise ValueError("all mixture components must share one spin space")
-    rho = sum(w * s.density_matrix() for w, s in zip(weights, states))
-    return MixedState(space, rho)
+    columns = []
+    for w, s in zip(weights, states):
+        p, phi = spectral_support(s)
+        columns.append(phi * np.sqrt(w * p))
+    return MixedState._from_factor(space, np.hstack(columns))
 
 
 # --- JSON wire format -------------------------------------------------------

@@ -11,7 +11,7 @@ from spinmetro.fisher import (Povm, ProbabilityModel, fisher_information,
                               povm_probe_projection, qfi)
 from spinmetro.linalg import dagger, max_abs
 from spinmetro.spins import SpinAxis, SpinSpace, op_j, op_jx, op_jz, rotation
-from spinmetro.states import (MixedState, PureState, coherent_spin, fock,
+from spinmetro.states import (MixedState, PureState, coherent_spin, fock, mix,
                               noon, twin_fock)
 
 THETAS = np.array([-1.9, -0.4, 0.0, 0.37, 1.2, 2.6])
@@ -113,7 +113,8 @@ def test_dense_povm_factorisation_keeps_its_elements():
 
 @pytest.mark.parametrize("mu", [-1.5, 0.5])
 def test_projection_vectors_for_basis_state_probes(mu):
-    # the Householder completion must not cancel when the probe is |0> itself
+    # the stored probe and the complement I - |psi><psi| are exact for a Dicke state,
+    # |0> included
     space = SpinSpace(3)
     probe = fock(space, mu)
     projector, complement = povm_probe_projection(probe).elements
@@ -174,6 +175,30 @@ def test_counting_coefficients_match_general_path():
         povm_diagonal_coefficients(grouped, op_jz(space))
 
 
+def test_diagonal_observable_as_its_diagonal_matches_the_dense_call():
+    # the moments command passes J_z as mu; the coefficients must keep their bits
+    space = SpinSpace(9)
+    counting = povm_number_counting(space)
+    assert np.array_equal(povm_diagonal_coefficients(counting, space.mu),
+                          povm_diagonal_coefficients(counting, op_jz(space)))
+    # a diagonal observable that the projection onto a Dicke state resolves
+    probe = fock(space, 1.5)
+    diagonal = np.where(np.arange(space.dim) == space.index_of(1.5), 2.0, -0.5)
+    projection = povm_probe_projection(probe)
+    coeffs = povm_diagonal_coefficients(projection, diagonal)
+    assert np.array_equal(coeffs, povm_diagonal_coefficients(projection, np.diag(diagonal)))
+    assert np.array_equal(coeffs, [2.0, -0.5])
+    for povm in (counting, projection):
+        messages = []
+        for observable in (space.mu + 0.5j, np.diag(space.mu + 0.5j)):
+            with pytest.raises(ValueError, match="not diagonal") as err:
+                povm_diagonal_coefficients(povm, observable)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+    with pytest.raises(ValueError, match="does not act on"):
+        povm_diagonal_coefficients(counting, space.mu[1:])
+
+
 def test_counting_model_build_forms_no_dense_povm_product():
     # the real eigenvectors W (32 MiB at N = 2048) are the only N^2 array; a dense
     # F^dag V or a complex eigh of J_n adds a complex N^2 = 64 MiB
@@ -200,6 +225,27 @@ def test_counting_model_build_at_n4096_fits_256_mib():
     finally:
         tracemalloc.stop()
     assert peak < 256 * 2**20
+
+
+def test_projection_and_mixture_models_at_n4096_form_no_dense_complex_matrix():
+    # a complex (N+1)^2 array takes 256 MiB; the real eigenvectors W of a
+    # rotation about y take 128 MiB, and about z they are the identity
+    space = SpinSpace(4096)
+    probe = noon(space)
+    tracemalloc.start()
+    try:
+        model = ProbabilityModel(probe, "z", povm_probe_projection(probe))
+        p_noon = model.probability_table([0.3 * math.pi / space.n_particles])
+        del model
+        mixed = mix([(0.5, probe), (0.5, twin_fock(space))])
+        p_mix = ProbabilityModel(mixed, "y", povm_number_counting(space)).probability_table([0.3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300 * 2**20
+    assert p_noon[0] == pytest.approx([math.cos(0.15 * math.pi) ** 2,
+                                       math.sin(0.15 * math.pi) ** 2], rel=1e-12)
+    assert p_mix.sum() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_povm_rejects_non_finite_elements():
@@ -246,6 +292,23 @@ class TestLargeN:
         model = ProbabilityModel(probe, "z", povm_probe_projection(probe))
         for theta in (0.3 * math.pi / n, 0.77 * math.pi / n):
             assert fisher_information(model, theta).fi == pytest.approx(n * n, rel=1e-8)
+
+
+@pytest.mark.parametrize("n", [20, 100, 1000])
+def test_projection_complement_near_its_zero(n):
+    """NOON about z: P_orth = sin^2(N theta / 2) and F = N^2 as P_orth -> 0.
+
+    The complement's P comes from the residual x - G^dag a, not from
+    1 - P_probe, so it keeps its relative accuracy down to theta = 1e-9 pi/N,
+    where P_orth is 2.5e-18 and the outcome is flagged "limit"."""
+    probe = noon(SpinSpace(n))
+    model = ProbabilityModel(probe, "z", povm_probe_projection(probe))
+    thetas = np.logspace(-9, -3, 13) * math.pi / n
+    p_orth = model.probability_table(thetas)[:, 1]
+    assert np.abs(p_orth / np.sin(n * thetas / 2) ** 2 - 1).max() <= 1e-12
+    for theta in thetas:
+        assert abs(fisher_information(model, theta).fi / n**2 - 1) <= 1e-12
+    assert fisher_information(model, thetas[0]).flagged == (("orthogonal", "limit"),)
 
 
 @pytest.mark.parametrize("n", [20, 250, 1000])

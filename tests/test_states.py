@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from spinmetro.fisher import qfi, spin_moments
-from spinmetro.linalg import eig_hermitian, max_abs
+from spinmetro.fisher import (ProbabilityModel, povm_number_counting, povm_probe_projection,
+                              qfi, sld, spin_moments)
+from spinmetro.linalg import dagger, eig_hermitian, max_abs
 from spinmetro.spins import SpinAxis, SpinSpace, op_j, op_jx, op_jy, op_jz, rotation
 from spinmetro.states import (MixedState, PureState, _fix_global_phase, coherent_spin,
                               expectation, fock, ghz_along, mix, noon,
-                              spin_polarized, state_from_json, state_to_json,
-                              twin_fock, variance)
+                              spectral_support, spin_polarized, state_from_json,
+                              state_to_json, twin_fock, variance)
 
 
 class TestFock:
@@ -168,6 +169,96 @@ class TestMix:
             mix([(-0.5, noon(space)), (1.5, twin_fock(space))])
         with pytest.raises(ValueError):
             mix([(0.5, noon(space)), (0.5, noon(SpinSpace(3)))])
+
+
+def _random_pure(space, rng):
+    amp = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    return PureState(space, amp / np.linalg.norm(amp))
+
+
+def _mixtures(name, rng):
+    if name == "noon+twin-fock":
+        space = SpinSpace(40)
+        return mix([(0.5, noon(space)), (0.5, twin_fock(space))])
+    space = SpinSpace(12)
+    css = coherent_spin(space, 0.7, 0.3)
+    if name == "rank-3":
+        return mix([(0.2, css), (0.3, _random_pure(space, rng)),
+                    (0.5, _random_pure(space, rng))])
+    inner = mix([(0.4, css), (0.6, _random_pure(space, rng))])
+    return mix([(0.35, inner), (0.65, twin_fock(space))])
+
+
+class TestFactorMixture:
+    """`mix` builds the support from the K x K Gram matrix of its factor; a
+    MixedState from the dense rho of the same state is the reference."""
+
+    @pytest.mark.parametrize("name", ["noon+twin-fock", "rank-3", "mixed-component"])
+    def test_matches_the_dense_path(self, name, rng):
+        factor = _mixtures(name, rng)
+        dense = MixedState(factor.space, factor.rho)
+        p, phi = spectral_support(factor)
+        q, psi = spectral_support(dense)
+        top = q > 1e-10  # the dense path keeps round-off eigenvalues as weights
+        assert max_abs(q[~top]) < 1e-15
+        assert max_abs(p - q[top]) < 1e-12
+        assert max_abs(phi @ dagger(phi) - psi[:, top] @ dagger(psi[:, top])) < 1e-12
+        assert max_abs(dagger(phi) @ phi - np.eye(p.size)) < 1e-12
+        space = factor.space
+        axis = SpinAxis((0.3, -0.5, 0.8))
+        thetas = np.array([-0.9, 0.0, 0.4, 2.2])
+        for povm in (povm_number_counting(space), povm_probe_projection(_random_pure(space, rng))):
+            tables = [ProbabilityModel(s, axis, povm)._tables(thetas, 2) for s in (factor, dense)]
+            assert max_abs(tables[0] - tables[1]) < 1e-12
+        scale = space.n_particles ** 2
+        for got, want in zip(spin_moments(factor), spin_moments(dense)):
+            assert max_abs(got - want) < 1e-12 * scale
+        assert max_abs(sld(factor, axis) - sld(dense, axis)) < 1e-12 * scale
+
+    def test_on_demand_rho_and_spectrum(self, rng):
+        state = _mixtures("rank-3", rng)
+        p, phi = spectral_support(state)
+        dec = state.spectrum
+        assert np.all(np.diff(dec.eigenvalues) >= 0)
+        assert np.array_equal(dec.eigenvalues[-p.size:], p)
+        assert max_abs(dec.eigenvalues[:-p.size]) == 0.0
+        v = dec.eigenvectors
+        assert max_abs(dagger(v) @ v - np.eye(state.space.dim)) < 1e-13
+        assert max_abs(dec.reconstruct() - state.rho) < 1e-15
+        assert state.density_matrix() is state.rho
+        assert not state.rho.flags.writeable
+
+    @pytest.mark.parametrize("n", [1, 7, 60])
+    def test_rank_of_a_state_mixed_with_itself(self, n, rng):
+        space = SpinSpace(n)
+        psi = _random_pure(space, rng)
+        phased = PureState(space, np.exp(0.7j) * psi.amplitudes)
+        for parts in ([(0.3, psi), (0.7, psi)], [(0.1, psi), (0.2, phased), (0.7, psi)]):
+            p, phi = spectral_support(mix(parts))
+            assert p.size == 1 and p[0] == pytest.approx(1.0, abs=1e-15)
+            assert abs(np.vdot(phi[:, 0], psi.amplitudes)) == pytest.approx(1.0, abs=1e-14)
+
+    def test_rank_with_a_near_duplicate(self, rng):
+        # rho = 0.4 |psi><psi| + 0.6 |psi'><psi'| has a second eigenvalue of about
+        # 0.24 (1 - |<psi|psi'>|^2) = 2.4e-11, far above round-off
+        space = SpinSpace(30)
+        psi = _random_pure(space, rng)
+        near = psi.amplitudes + 1e-5 * _random_pure(space, rng).amplitudes
+        near = PureState(space, near / np.linalg.norm(near))
+        state = mix([(0.4, psi), (0.6, near)])
+        p, _ = spectral_support(state)
+        assert p.size == 2
+        exact = np.linalg.eigvalsh(state.rho)[-2:]
+        assert max_abs(p - exact) < 1e-15
+
+    def test_rank_with_a_mixed_component(self, rng):
+        space = SpinSpace(9)
+        a, b = _random_pure(space, rng), _random_pure(space, rng)
+        inner = mix([(0.5, a), (0.5, b)])
+        assert spectral_support(mix([(0.3, inner), (0.7, a)]))[0].size == 2
+        assert spectral_support(mix([(0.3, inner), (0.7, inner)]))[0].size == 2
+        third = mix([(0.3, inner), (0.7, fock(space, 0.5))])
+        assert spectral_support(third)[0].size == 3
 
 
 class TestTypeInvariants:
