@@ -13,7 +13,7 @@ import argparse
 
 import numpy as np
 
-from spinmetro import (ProbabilityModel, SpinSpace, fisher_information, noon,
+from spinmetro import (ProbabilityModel, SpinSpace, fisher_scan, noon,
                        povm_number_counting, povm_probe_projection, qfi_pure,
                        spin_polarized, twin_fock)
 from spinmetro.reporting import write_csv
@@ -37,16 +37,9 @@ for name, model in models.items():
     print(f"  QFI[{name}] = {qfi_pure(model.probe, model.axis):.6g}")
 
 grid = np.linspace(0.05, 1.5, args.points)
-rows = []
-for theta in grid:
-    rows.append((
-        float(theta),
-        fisher_information(models["coherent"], float(theta)).fi,
-        fisher_information(models["twin_fock"], float(theta)).fi,
-        fisher_information(models["noon"], float(theta)).fi,
-        float(args.n),
-        float(args.n**2),
-    ))
+scans = [fisher_scan(model, grid)[0] for model in models.values()]
+rows = np.column_stack([grid, *scans, np.full_like(grid, args.n),
+                        np.full_like(grid, args.n**2)]).tolist()
 
 header = ("theta", "coherent", "twin_fock", "noon", "shot_noise", "heisenberg")
 if args.out:

@@ -25,8 +25,9 @@ from .estimation import (DEFAULT_DOMAIN, DomainError, StatisticalFailure,
                          bayes_monte_carlo, bayes_posterior, mle_monte_carlo,
                          moments_monte_carlo, posterior_summaries)
 from .estimation import sample  # noqa: F401  (perfbench/test_perfbench.py reads cli.sample)
+from .fisher import fisher_information  # noqa: F401  (perfbench/test_perfbench.py reads it)
 from .fisher import (ProbabilityModel, bound_heisenberg, bound_shot_noise,
-                     fisher_information, optimal_axis, povm_number_counting,
+                     fisher_scan, optimal_axis, povm_number_counting,
                      povm_probe_projection, qfi, spin_moments)
 from .reporting import csv_text, json_safe, posterior_table, trial_table
 from .spins import SpinAxis, SpinSpace
@@ -220,10 +221,9 @@ def cmd_fisher_scan(config: RunConfig):
     fq = qfi(moments, config.axis)
     n = SpinAxis.from_spec(config.axis).as_array()
     four_var = float(4.0 * n @ moments.covariance @ n)
-    rows = []
-    for theta in thetas:
-        rep = fisher_information(model, float(theta))
-        rows.append((float(theta), rep.fi, fq, four_var, len(rep.flagged)))
+    fi, flagged = fisher_scan(model, thetas)
+    rows = [(theta, f, fq, four_var, k)
+            for theta, f, k in zip(thetas.tolist(), fi.tolist(), flagged.tolist())]
     results = {
         "qfi": fq,
         "four_variance": four_var,

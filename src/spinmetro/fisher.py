@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import dagger, eig_hermitian, max_abs, max_eig_sym3
-from .spins import SpinAxis, SpinSpace, core_spectrum, op_j, spin_action
+from .spins import SpinAxis, SpinSpace, _flush_tiny, core_spectrum, op_j, spin_action
 from .states import MixedState, PureState, State, spectral_support
 
 #: probabilities at or below this are treated as vanishing
@@ -196,7 +196,11 @@ class ProbabilityModel:
     table, and the phased columns meet it in one real product.  A complement
     outcome I - F F^dag takes the same sums over the residual r = x - G^dag a,
     the part of x outside the span of the rows of G, which are orthonormal; its
-    derivatives are r' = x' - G^dag a' and r'' = x'' - G^dag a''.  A table over
+    derivatives are r' = x' - G^dag a' and r'' = x'' - G^dag a''.  Like W, the probe
+    columns and G keep no real or imaginary part below sqrt(tiny) (`_flush_tiny`),
+    so the kernel's products stay normal; by Cauchy-Schwarz the parts flushed from
+    one probe column or one row of G move an amplitude by less than
+    sqrt(2 tiny dim).  A table over
     T angles costs O(T R M dim) time for probe rank R and M POVM vectors, and
     O(M dim) memory: its angles run in blocks of _TABLE_BLOCK / dim.
     Instances are immutable after construction and safe to share between threads.
@@ -216,9 +220,10 @@ class ProbabilityModel:
         # columns V^dag sqrt(p_r) phi_r = W^T D^* sqrt(p_r) phi_r: the probe in the
         # generator's eigenbasis
         p, phi = spectral_support(probe)
-        self._probe_columns = _times(w.T, phase.conj()[:, None] * phi * np.sqrt(p))
+        self._probe_columns = _flush_tiny(_times(w.T, phase.conj()[:, None] * phi * np.sqrt(p)))
         f = povm.vectors
-        self._povm_basis = w if f is None else _times(w.T, phase[:, None] * f.conj()).T
+        self._povm_basis = (w if f is None else
+                            _flush_tiny(_times(w.T, phase[:, None] * f.conj())).T)
         # G^dag, which maps amplitudes back onto the span of the POVM vectors
         self._span = dagger(self._povm_basis) if povm.complement else None
         listed = self._povm_basis.shape[0]
@@ -306,21 +311,27 @@ class FisherReport:
             raise AssertionError("FI does not match the sum of its contributions")
 
 
-def fisher_information(model: ProbabilityModel, theta: float) -> FisherReport:
-    """Classical Fisher information F(theta) = sum_eps (dP/dtheta)^2 / P.
+def _fisher_terms(p: np.ndarray, dp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-outcome terms (dP)^2/P of F and the masks (live, limit) for rows p, dp of
+    any leading shape.
 
-    P and dP come from one kernel pass.  Outcomes with P <= P_FLOOR are
-    flagged: "excluded" ones (|dP| <= D_FLOOR) add 0, "limit" ones keep
-    (dP)^2/P.  There P > 0, since P = 0 forces every amplitude and so dP to 0,
-    and by Cauchy-Schwarz (2 Re sum a* a')^2 / sum |a|^2 <= 4 sum |a'|^2,
+    Outcomes with P <= P_FLOOR are flagged: "excluded" ones (|dP| <= D_FLOOR) add 0,
+    "limit" ones keep (dP)^2/P.  There P > 0, since P = 0 forces every amplitude and
+    so dP to 0, and by Cauchy-Schwarz (2 Re sum a* a')^2 / sum |a|^2 <= 4 sum |a'|^2,
     so the ratio stays bounded as P approaches its zero.
     """
-    p, dp = model._tables([theta], 1)[:, 0]
     live = p > P_FLOOR
     limit = ~live & (np.abs(dp) > D_FLOOR)
     kept = live | limit
-    contributions = np.zeros_like(p)
-    contributions[kept] = dp[kept] ** 2 / p[kept]
+    terms = np.zeros_like(p)
+    terms[kept] = dp[kept] ** 2 / p[kept]
+    return terms, live, limit
+
+
+def fisher_information(model: ProbabilityModel, theta: float) -> FisherReport:
+    """Classical Fisher information F(theta) = sum_eps (dP/dtheta)^2 / P, with its
+    per-outcome contributions and flags (`_fisher_terms`), from one kernel pass."""
+    contributions, live, limit = _fisher_terms(*model._tables([theta], 1)[:, 0])
     labels = model.outcome_labels
     return FisherReport(
         theta=float(theta),
@@ -330,6 +341,27 @@ def fisher_information(model: ProbabilityModel, theta: float) -> FisherReport:
         flagged=tuple((labels[e], "limit" if limit[e] else "excluded")
                       for e in np.flatnonzero(~live)),
     )
+
+
+def fisher_scan(model: ProbabilityModel, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """F at every angle of `thetas`, and the number of flagged outcomes (P <= P_FLOOR)
+    there: `fisher_information` over a grid, without a report per angle.
+
+    The angles run in blocks of _TABLE_BLOCK / dim, one kernel pass each, and every
+    block is reduced to its two rows before the next, so the time is O(T R M dim)
+    and the memory does not grow with the grid length T.
+    """
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    fi = np.empty(thetas.size)
+    flagged = np.empty(thetas.size, dtype=np.intp)
+    rows = max(1, _TABLE_BLOCK // model.space.dim)
+    for start in range(0, thetas.size, rows):
+        block = slice(start, start + rows)
+        terms, live, limit = _fisher_terms(*model._tables(thetas[block], 1))
+        fi[block] = terms.sum(axis=1)
+        flagged[block] = np.count_nonzero(~live, axis=1)
+        del terms, live, limit  # before the next block's pass allocates its table
+    return fi, flagged
 
 
 class SpinMoments(NamedTuple):

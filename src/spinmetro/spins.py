@@ -27,7 +27,8 @@ SPECTRUM_TOL = 1e-10
 #: run in blocks of this many divided by the dimension
 _SPECTRUM_BLOCK = 2**20
 
-#: added to every pivot of the twisted factorisation, so none is exactly zero
+#: added to every pivot of the twisted factorisation, so none is exactly zero; also
+#: the magnitude below which `_flush_tiny` sets an entry to zero
 _PIVMIN = math.sqrt(np.finfo(float).tiny)
 
 #: above this j the direct closed-form evaluation of the rotation matrix
@@ -189,7 +190,9 @@ def core_spectrum(space: SpinSpace, axis) -> tuple[np.ndarray, np.ndarray]:
     from the ladder coefficients, never formed densely.  Each column is checked
     for unit norm and a residual max|T w - mu w| within SPECTRUM_TOL * max(1, j);
     neighbouring eigenvalues are 1 apart, so that residual also bounds the
-    column's distance from the true eigenvector.
+    column's distance from the true eigenvector.  Entries of W below
+    _PIVMIN = sqrt(tiny) are then set to 0 (`_flush_tiny`); those of one row
+    together move its product with a unit vector by less than sqrt(tiny) sqrt(dim).
     D is the running product of e^{-i f}, so the ratio of neighbouring entries,
     which is all J_n sees, keeps round-off accuracy at any N; evaluating
     e^{-i f mu} directly would lose |f mu| ulps in every entry.
@@ -214,9 +217,21 @@ def core_spectrum(space: SpinSpace, axis) -> tuple[np.ndarray, np.ndarray]:
                                            w[:, start:stop])
         if not defect <= SPECTRUM_TOL * max(1.0, space.j):  # NaN-proof
             raise RuntimeError(f"eigenvectors of J_n miss mu = -j .. j: residual {defect:.3e}")
+        _flush_tiny(w[:, start:stop])
     sign = np.where(np.arange(dim) % 2, -1.0, 1.0)
     np.multiply(sign[:, None], w[::-1, n - half::-1], out=w[:, half:])
     return w, np.cumprod(step)
+
+
+def _flush_tiny(a: np.ndarray) -> np.ndarray:
+    """Set the real numbers of `a` (both parts of a complex entry) below _PIVMIN =
+    sqrt(tiny) in magnitude to 0, in place, and return `a`; the product of two kept
+    numbers is then normal, and arithmetic on subnormal numbers is many times slower.
+    A complex `a` must be contiguous along its last axis.  Each flushed number moves a
+    sum of products with factors of magnitude <= 1 by less than sqrt(tiny)."""
+    v = a.view(float) if np.iscomplexobj(a) else a
+    v[np.abs(v) < _PIVMIN] = 0.0
+    return a
 
 
 def _twisted_eigenvectors(diagonal, ladder, lam, out) -> float:
@@ -232,43 +247,41 @@ def _twisted_eigenvectors(diagonal, ladder, lam, out) -> float:
     as every other entry does at a zero diagonal and lam = 0, s_k and p_k are
     huge and cancel, so the bound keeps the twist off such k.
     """
-    b = ladder[:, None]
-    b2 = ladder * ladder
+    # both factorisations run as one top-down recurrence over (dim, 2, cols) arrays:
+    # [k, 0] holds row k of the top-down one, [k, 1] row dim - 1 - k of the
+    # bottom-up one, whose off-diagonal is the reversed ladder
     shifted = diagonal[:, None] - lam
-    # pivots d_k, u_k and the terms -s_k = b_{k-1}^2 / d_{k-1}, -p_k = b_k^2 / u_{k+1}
-    down, up, minus_s, minus_p = (np.empty_like(shifted) for _ in range(4))
     dim = shifted.shape[0]
-    minus_s[0] = minus_p[-1] = 0.0
-    down[0] = shifted[0] + _PIVMIN
-    for k in range(1, dim):
-        np.divide(b2[k - 1], down[k - 1], out=minus_s[k])
-        np.subtract(shifted[k], minus_s[k], out=down[k])
-        down[k] += _PIVMIN
-    up[-1] = shifted[-1] + _PIVMIN
-    for k in range(dim - 2, -1, -1):
-        np.divide(b2[k], up[k + 1], out=minus_p[k])
-        np.subtract(shifted[k], minus_p[k], out=up[k])
-        up[k] += _PIVMIN
+    b = np.stack([ladder, ladder[::-1]], axis=1)[:, :, None]
+    b2 = b * b
+    # pivots d_k, u_k, which start as the shifted diagonal, and the terms
+    # -s_k = b_{k-1}^2 / d_{k-1}, -p_k = b_k^2 / u_{k+1}
+    piv = np.stack([shifted, shifted[::-1]], axis=1)
+    terms = np.empty_like(piv)
+    terms[0] = 0.0
+    piv[0] += _PIVMIN
+    for above, row, term, coeff in zip(piv, piv[1:], terms[1:], b2):
+        np.divide(coeff, above, out=term)
+        row -= term
+        row += _PIVMIN
+    minus_s, minus_p = terms[:, 0], terms[::-1, 1]
     bound = np.abs(shifted - minus_s - minus_p) + np.finfo(float).eps * (
         np.abs(minus_s) + np.abs(minus_p))
     twist = np.argmin(bound, axis=0)
     # ratios z_k / z_{k+1} above the twist and z_{k+1} / z_k below it, 1 elsewhere,
     # multiplied out from the twist; row by row, as cumprod down a column is slower
-    rows = np.arange(dim - 1)[:, None]
-    np.divide(-b, down[:-1], out=down[:-1])
-    np.copyto(down[:-1], 1.0, where=rows >= twist)
-    down[-1] = 1.0
-    np.divide(-b, up[1:], out=up[1:])
-    np.copyto(up[1:], 1.0, where=rows < twist)
-    up[0] = 1.0
-    for k in range(dim - 2, -1, -1):
-        down[k] *= down[k + 1]
-        up[dim - 1 - k] *= up[dim - 2 - k]
-    np.multiply(down, up, out=out)
+    rows = np.arange(dim - 1)[:, None, None]
+    np.divide(-b, piv[:-1], out=piv[:-1])
+    # the reversed half meets the twist at row dim - 1 - twist
+    np.copyto(piv[:-1], 1.0, where=rows >= np.stack([twist, dim - 1 - twist]))
+    piv[-1] = 1.0
+    for below, row in zip(piv[::-1], piv[-2::-1]):
+        row *= below
+    np.multiply(piv[:, 0], piv[::-1, 1], out=out)
     out /= np.sqrt(np.einsum("kc,kc->c", out, out))
     residual = np.multiply(shifted, out, out=shifted)
-    residual[1:] += b * out[:-1]
-    residual[:-1] += b * out[1:]
+    residual[1:] += b[:, 0] * out[:-1]
+    residual[:-1] += b[:, 0] * out[1:]
     return float(np.maximum(max_abs(residual), max_abs(np.einsum("kc,kc->c", out, out) - 1.0)))
 
 

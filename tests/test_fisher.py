@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spinmetro import fisher, spins
 from spinmetro.fisher import (EigenvalueCrossingError, Povm, ProbabilityModel,
                               bound_heisenberg, bound_shot_noise,
                               fisher_information, fisher_lower_bound_moment,
-                              optimal_axis, povm_number_counting,
+                              fisher_scan, optimal_axis, povm_number_counting,
                               povm_probe_projection, qfi_family,
                               qfi_mixed, qfi_pure, qfi_unitary, sld)
 from spinmetro.linalg import dagger, expm_generator, max_abs
@@ -197,6 +199,109 @@ class TestFisherInformation:
         rep = fisher_information(model, 1e-7)
         assert rep.flagged == ((-1.0, "excluded"), (0.0, "limit"))
         assert rep.fi == pytest.approx(2.0, rel=1e-12)
+
+
+def _tiny_numbers(a):
+    """Nonzero real numbers (parts of complex entries) below sqrt(tiny) in magnitude."""
+    v = np.ascontiguousarray(a).view(float) if np.iscomplexobj(a) else a
+    return int(np.count_nonzero((v != 0) & (np.abs(v) < math.sqrt(np.finfo(float).tiny))))
+
+
+def test_model_keeps_no_tiny_numbers(monkeypatch):
+    # NOON projection about an oblique axis at N = 1000: W^T applied to the probe
+    # leaves 253 numbers below sqrt(tiny), 20 of them subnormal, in its one column
+    space = SpinSpace(1000)
+    axis = (0.3, -0.5, 0.8)
+    probe = noon(space)
+    model = ProbabilityModel(probe, axis, povm_probe_projection(probe))
+    w = spins.core_spectrum(space, axis)[0]
+    assert _tiny_numbers(w) == 0
+    assert _tiny_numbers(model._probe_columns) == _tiny_numbers(model._povm_basis) == 0
+    monkeypatch.setattr(spins, "_flush_tiny", lambda a: a)
+    monkeypatch.setattr(fisher, "_flush_tiny", lambda a: a)
+    kept = ProbabilityModel(probe, axis, povm_probe_projection(probe))
+    assert _tiny_numbers(kept._probe_columns) > 0
+    thetas = np.linspace(0.0, 1.4, 9)
+    # the bound sqrt(2 tiny dim) is 7e-153
+    assert max_abs(model._tables(thetas, 1) - kept._tables(thetas, 1)) <= 1e-150
+
+
+def _scan_model(kind, n):
+    space = SpinSpace(n)
+    counting = povm_number_counting(space)
+    if kind == "css":
+        return ProbabilityModel(coherent_spin(space, math.pi / 2), "y", counting)
+    if kind == "twin-fock":
+        return ProbabilityModel(twin_fock(space), "y", counting)
+    if kind == "noon-projection":
+        probe = noon(space)
+        return ProbabilityModel(probe, "z", povm_probe_projection(probe))
+    return ProbabilityModel(mix([(0.5, noon(space)), (0.5, twin_fock(space))]), "y", counting)
+
+
+def _assert_scan_matches_reports(model, thetas):
+    fi, flagged = fisher_scan(model, thetas)
+    reports = [fisher_information(model, float(t)) for t in thetas]
+    ref = np.array([r.fi for r in reports])
+    scale = max(1.0, float(ref.max()))
+    np.testing.assert_allclose(fi, ref, rtol=1e-12, atol=1e-12 * scale)
+    assert flagged.tolist() == [len(r.flagged) for r in reports]
+    return flagged, reports
+
+
+class TestFisherScan:
+    """fisher_scan: per-theta fisher_information over a grid, in blocked kernel passes."""
+
+    # at N = 250, up to 250 of the 251 counting outcomes are flagged on these grids
+    @pytest.mark.parametrize("kind, n, thetas", [
+        ("css", 250, [0.0, 0.1, 0.45, 0.8, 1.2, 1.4, math.pi / 2]),
+        ("twin-fock", 250, [0.0, 0.1, 0.45, 0.8, 1.2, 1.4, math.pi / 2]),
+        # 1e-9 pi/N leaves the complement at P ~ 2.5e-18: a "limit" flag
+        ("noon-projection", 40, [0.0, 1e-9 * math.pi / 40, 0.3 * math.pi / 40,
+                                 math.pi / 40]),
+        ("mix", 40, [0.0, 0.2, 0.7, 1.3]),
+    ])
+    def test_rows_equal_fisher_information(self, kind, n, thetas):
+        flagged, reports = _assert_scan_matches_reports(_scan_model(kind, n), thetas)
+        assert flagged.dtype.kind == "i" and flagged.max() > 0
+        if kind == "noon-projection":
+            assert reports[1].flagged == (("orthogonal", "limit"),)
+
+    def test_grid_across_block_boundaries(self, monkeypatch):
+        model = _scan_model("twin-fock", 20)
+        thetas = np.linspace(0.0, 1.4, 23)
+        whole = fisher_scan(model, thetas)
+        # 21 * 3 elements per block: 3 angles, so the grid spans 8 blocks, the last short
+        monkeypatch.setattr(fisher, "_TABLE_BLOCK", 3 * model.space.dim)
+        blocked = fisher_scan(model, thetas)
+        _assert_scan_matches_reports(model, thetas)
+        np.testing.assert_allclose(blocked[0], whole[0], rtol=1e-12, atol=1e-12 * 20**2)
+        assert np.array_equal(blocked[1], whole[1])
+
+    def test_memory_does_not_grow_with_the_grid(self, monkeypatch):
+        model = _scan_model("css", 200)
+        monkeypatch.setattr(fisher, "_TABLE_BLOCK", 64 * model.space.dim)
+        peaks = []
+        for points in (64, 640):  # one block, ten blocks
+            thetas = np.linspace(0.05, 1.45, points)
+            tracemalloc.start()
+            try:
+                fisher_scan(model, thetas)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_empty_grid(self):
+        fi, flagged = fisher_scan(_scan_model("css", 6), [])
+        assert fi.shape == flagged.shape == (0,)
+
+    def test_nan_angle_raises_like_a_single_theta(self):
+        model = _scan_model("css", 10)
+        with pytest.raises(RuntimeError, match="normalise"):
+            fisher_information(model, math.nan)
+        with pytest.raises(RuntimeError, match="normalise"):
+            fisher_scan(model, [0.1, math.nan, 0.5])
 
 
 class TestQfi:
