@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import dagger, eig_hermitian, max_abs, max_eig_sym3
-from .spins import SpinAxis, SpinSpace, _flush_tiny, core_spectrum, op_j, spin_action
+from .spins import SpinAxis, SpinSpace, core_spectrum, op_j, spin_action
 from .states import MixedState, PureState, State, spectral_support
 
 #: probabilities at or below this are treated as vanishing
@@ -31,6 +31,16 @@ D_FLOOR = 1e-9
 #: complex elements per phase array of a probability table; its angles run in
 #: blocks of this many divided by the dimension
 _TABLE_BLOCK = 2**19
+#: real and imaginary parts of a probe column below this, sqrt(tiny), are set to 0
+#: at model build, so that the kernel does no arithmetic on subnormal numbers
+_COLUMN_FLOOR = math.sqrt(np.finfo(float).tiny)
+
+
+def _angle_blocks(n_angles: int, dim: int):
+    """Slices of `n_angles` angles, _TABLE_BLOCK / dim (at least 1) to a block."""
+    rows = max(1, _TABLE_BLOCK // dim)
+    return (slice(start, start + rows) for start in range(0, n_angles, rows))
+
 
 # row-wise dot product; numpy < 2 lacks vecdot and falls back to einsum
 _vecdot = getattr(np, "vecdot", None) or (lambda a, b: np.einsum("...k,...k->...", a, b))
@@ -196,13 +206,12 @@ class ProbabilityModel:
     table, and the phased columns meet it in one real product.  A complement
     outcome I - F F^dag takes the same sums over the residual r = x - G^dag a,
     the part of x outside the span of the rows of G, which are orthonormal; its
-    derivatives are r' = x' - G^dag a' and r'' = x'' - G^dag a''.  Like W, the probe
-    columns and G keep no real or imaginary part below sqrt(tiny) (`_flush_tiny`),
-    so the kernel's products stay normal; by Cauchy-Schwarz the parts flushed from
-    one probe column or one row of G move an amplitude by less than
-    sqrt(2 tiny dim).  A table over
+    derivatives are r' = x' - G^dag a' and r'' = x'' - G^dag a''.  The probe columns
+    keep no real or imaginary part below _COLUMN_FLOOR = sqrt(tiny); by
+    Cauchy-Schwarz the parts flushed from one column move an amplitude by less
+    than sqrt(2 tiny dim).  A table over
     T angles costs O(T R M dim) time for probe rank R and M POVM vectors, and
-    O(M dim) memory: its angles run in blocks of _TABLE_BLOCK / dim.
+    O(M dim) memory: its angles run in blocks (`_angle_blocks`).
     Instances are immutable after construction and safe to share between threads.
     """
 
@@ -220,10 +229,12 @@ class ProbabilityModel:
         # columns V^dag sqrt(p_r) phi_r = W^T D^* sqrt(p_r) phi_r: the probe in the
         # generator's eigenbasis
         p, phi = spectral_support(probe)
-        self._probe_columns = _flush_tiny(_times(w.T, phase.conj()[:, None] * phi * np.sqrt(p)))
+        columns = _times(w.T, phase.conj()[:, None] * phi * np.sqrt(p))
+        parts = columns.view(float)
+        parts[np.abs(parts) < _COLUMN_FLOOR] = 0.0
+        self._probe_columns = columns
         f = povm.vectors
-        self._povm_basis = (w if f is None else
-                            _flush_tiny(_times(w.T, phase[:, None] * f.conj())).T)
+        self._povm_basis = w if f is None else _times(w.T, phase[:, None] * f.conj()).T
         # G^dag, which maps amplitudes back onto the span of the POVM vectors
         self._span = dagger(self._povm_basis) if povm.complement else None
         listed = self._povm_basis.shape[0]
@@ -244,10 +255,9 @@ class ProbabilityModel:
         basis, span = self._povm_basis, self._span
         listed = basis.shape[0]
         out = np.zeros((order + 1, thetas.size, listed + (span is not None)))
-        rows = max(1, _TABLE_BLOCK // self.space.dim)
-        for start in range(0, thetas.size, rows):
-            block = out[:, start:start + rows]
-            phases = _phases(self._lam, thetas[start:start + rows])
+        for angles in _angle_blocks(thetas.size, self.space.dim):
+            block = out[:, angles]
+            phases = _phases(self._lam, thetas[angles])
             for column in self._probe_columns.T:
                 x = phases * column[:, None]
                 a, r = [], []  # derivatives of the amplitudes and of the residual
@@ -347,16 +357,14 @@ def fisher_scan(model: ProbabilityModel, thetas) -> tuple[np.ndarray, np.ndarray
     """F at every angle of `thetas`, and the number of flagged outcomes (P <= P_FLOOR)
     there: `fisher_information` over a grid, without a report per angle.
 
-    The angles run in blocks of _TABLE_BLOCK / dim, one kernel pass each, and every
+    The angles run in the blocks of `_angle_blocks`, one kernel pass each, and every
     block is reduced to its two rows before the next, so the time is O(T R M dim)
     and the memory does not grow with the grid length T.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     fi = np.empty(thetas.size)
     flagged = np.empty(thetas.size, dtype=np.intp)
-    rows = max(1, _TABLE_BLOCK // model.space.dim)
-    for start in range(0, thetas.size, rows):
-        block = slice(start, start + rows)
+    for block in _angle_blocks(thetas.size, model.space.dim):
         terms, live, limit = _fisher_terms(*model._tables(thetas[block], 1))
         fi[block] = terms.sum(axis=1)
         flagged[block] = np.count_nonzero(~live, axis=1)

@@ -27,8 +27,7 @@ SPECTRUM_TOL = 1e-10
 #: run in blocks of this many divided by the dimension
 _SPECTRUM_BLOCK = 2**20
 
-#: added to every pivot of the twisted factorisation, so none is exactly zero; also
-#: the magnitude below which `_flush_tiny` sets an entry to zero
+#: added to every pivot of the twisted factorisation, so none is exactly zero
 _PIVMIN = math.sqrt(np.finfo(float).tiny)
 
 #: above this j the direct closed-form evaluation of the rotation matrix
@@ -190,9 +189,7 @@ def core_spectrum(space: SpinSpace, axis) -> tuple[np.ndarray, np.ndarray]:
     from the ladder coefficients, never formed densely.  Each column is checked
     for unit norm and a residual max|T w - mu w| within SPECTRUM_TOL * max(1, j);
     neighbouring eigenvalues are 1 apart, so that residual also bounds the
-    column's distance from the true eigenvector.  Entries of W below
-    _PIVMIN = sqrt(tiny) are then set to 0 (`_flush_tiny`); those of one row
-    together move its product with a unit vector by less than sqrt(tiny) sqrt(dim).
+    column's distance from the true eigenvector.
     D is the running product of e^{-i f}, so the ratio of neighbouring entries,
     which is all J_n sees, keeps round-off accuracy at any N; evaluating
     e^{-i f mu} directly would lose |f mu| ulps in every entry.
@@ -217,21 +214,9 @@ def core_spectrum(space: SpinSpace, axis) -> tuple[np.ndarray, np.ndarray]:
                                            w[:, start:stop])
         if not defect <= SPECTRUM_TOL * max(1.0, space.j):  # NaN-proof
             raise RuntimeError(f"eigenvectors of J_n miss mu = -j .. j: residual {defect:.3e}")
-        _flush_tiny(w[:, start:stop])
     sign = np.where(np.arange(dim) % 2, -1.0, 1.0)
     np.multiply(sign[:, None], w[::-1, n - half::-1], out=w[:, half:])
     return w, np.cumprod(step)
-
-
-def _flush_tiny(a: np.ndarray) -> np.ndarray:
-    """Set the real numbers of `a` (both parts of a complex entry) below _PIVMIN =
-    sqrt(tiny) in magnitude to 0, in place, and return `a`; the product of two kept
-    numbers is then normal, and arithmetic on subnormal numbers is many times slower.
-    A complex `a` must be contiguous along its last axis.  Each flushed number moves a
-    sum of products with factors of magnitude <= 1 by less than sqrt(tiny)."""
-    v = a.view(float) if np.iscomplexobj(a) else a
-    v[np.abs(v) < _PIVMIN] = 0.0
-    return a
 
 
 def _twisted_eigenvectors(diagonal, ladder, lam, out) -> float:

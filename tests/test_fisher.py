@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinmetro import fisher, spins
+from spinmetro import fisher
 from spinmetro.fisher import (EigenvalueCrossingError, Povm, ProbabilityModel,
                               bound_heisenberg, bound_shot_noise,
                               fisher_information, fisher_lower_bound_moment,
@@ -207,20 +207,17 @@ def _tiny_numbers(a):
     return int(np.count_nonzero((v != 0) & (np.abs(v) < math.sqrt(np.finfo(float).tiny))))
 
 
-def test_model_keeps_no_tiny_numbers(monkeypatch):
+def test_probe_columns_keep_no_tiny_numbers(monkeypatch):
     # NOON projection about an oblique axis at N = 1000: W^T applied to the probe
     # leaves 253 numbers below sqrt(tiny), 20 of them subnormal, in its one column
     space = SpinSpace(1000)
     axis = (0.3, -0.5, 0.8)
     probe = noon(space)
     model = ProbabilityModel(probe, axis, povm_probe_projection(probe))
-    w = spins.core_spectrum(space, axis)[0]
-    assert _tiny_numbers(w) == 0
-    assert _tiny_numbers(model._probe_columns) == _tiny_numbers(model._povm_basis) == 0
-    monkeypatch.setattr(spins, "_flush_tiny", lambda a: a)
-    monkeypatch.setattr(fisher, "_flush_tiny", lambda a: a)
+    assert _tiny_numbers(model._probe_columns) == 0
+    monkeypatch.setattr(fisher, "_COLUMN_FLOOR", 0.0)
     kept = ProbabilityModel(probe, axis, povm_probe_projection(probe))
-    assert _tiny_numbers(kept._probe_columns) > 0
+    assert _tiny_numbers(kept._probe_columns) == 253
     thetas = np.linspace(0.0, 1.4, 9)
     # the bound sqrt(2 tiny dim) is 7e-153
     assert max_abs(model._tables(thetas, 1) - kept._tables(thetas, 1)) <= 1e-150
