@@ -10,6 +10,7 @@ tests/test_golden.py reads the same list and compares against these files.
 Usage: PYTHONPATH=src python scripts/golden.py
 """
 
+import argparse
 import json
 from pathlib import Path
 
@@ -31,6 +32,8 @@ def render(argv, fmt: str) -> str:
 
 
 if __name__ == "__main__":
+    argparse.ArgumentParser(description=__doc__,
+                            formatter_class=argparse.RawDescriptionHelpFormatter).parse_args()
     for name, argv in invocations().items():
         for fmt in FORMATS:
             (GOLDEN / f"{name}.{fmt}").write_text(render(argv, fmt), encoding="utf-8",

@@ -32,8 +32,8 @@ from .linalg import (SpectralDecomposition, eig_hermitian, expm_generator,
                      max_eig_sym3)
 from .reporting import write_posterior_csv, write_trials_csv
 from .spins import (ReducedAccuracyWarning, SpinAxis, SpinSpace,
-                    beam_splitter, casimir, j_spectrum, mach_zehnder, op_j,
-                    op_jx, op_jy, op_jz, phase_shifter, rotation, wigner_d,
+                    beam_splitter, casimir, mach_zehnder, op_j, op_jx,
+                    op_jy, op_jz, phase_shifter, rotation, wigner_d,
                     wigner_d_matrix)
 from .states import (MixedState, PureState, coherent_spin, expectation, fock,
                      ghz_along, mix, noon, spin_polarized, state_from_json,

@@ -7,8 +7,9 @@ state, a rotation generator J_n, and a POVM:
     U = exp(-i*theta*J_n).
 
 Derivatives of the probabilities are analytic, through
-d rho/d theta = -i [J_n, rho(theta)]; finite differences appear only in
-`qfi_family` where the spectral data itself is differentiated.
+d rho/d theta = -i [J_n, rho(theta)].  Finite differences appear in
+`qfi_family`, where the spectral data itself is differentiated, and in
+`estimation.bayes_variance_bound`, which differentiates the posterior on its grid.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import dagger, eig_hermitian, max_abs, max_eig_sym3
+from .linalg import above_roundoff, dagger, eig_hermitian, max_abs, max_eig_sym3
 from .spins import SpinAxis, SpinSpace, core_spectrum, op_j, spin_action
-from .states import MixedState, PureState, State, spectral_support
+from .states import MixedState, PureState, State, mix, spectral_support
 
 #: probabilities at or below this are treated as vanishing
 P_FLOOR = 1e-12
@@ -61,8 +62,8 @@ class Povm:
     which is never formed: the probe projection stores the probe as its one
     vector.  Dense `elements` are checked (finite, Hermitian, positive
     semidefinite, resolving the identity) and factorised once through eigh;
-    eigenvectors whose weight is round-off (below dim * eps of the largest)
-    are dropped, but each outcome keeps at least its top eigenvector.
+    eigenvectors whose weight is round-off (`above_roundoff`) are dropped, but
+    each outcome keeps at least its top eigenvector.
     """
 
     def __init__(self, labels, elements):
@@ -82,7 +83,7 @@ class Povm:
             w, u = np.linalg.eigh(e)
             if float(w[0]) < -1e-10:
                 raise ValueError("POVM element is not positive semidefinite")
-            keep = w > dim * np.finfo(float).eps * w[-1]
+            keep = above_roundoff(w)
             keep[-1] = True
             columns.append(u[:, keep] * np.sqrt(np.clip(w[keep], 0.0, None)))
             total += e
@@ -455,14 +456,11 @@ def sld(probe: State, axis) -> np.ndarray:
     Tr[rho L0^2] equals the QFI.
     """
     if isinstance(probe, PureState):
-        probe = MixedState(probe.space, probe.density_matrix())
-    h = op_j(probe.space, axis)
+        probe = mix([(1.0, probe)])
     dec = probe.spectrum
-    p = dec.eigenvalues
     v = dec.eigenvectors
-    h_t = dagger(v) @ h @ v
-    l_t = 2.0j * _spectral_weight(p, power=1) * h_t
-    return v @ l_t @ dagger(v)
+    h_t = dagger(v) @ op_j(probe.space, axis) @ v
+    return v @ (2.0j * _spectral_weight(dec.eigenvalues, power=1) * h_t) @ dagger(v)
 
 
 def _degenerate_blocks(p: np.ndarray) -> list[np.ndarray]:

@@ -1,8 +1,9 @@
 """Dense linear-algebra kernels shared by every other module.
 
-All tolerances are expressed in the max-entry norm.  Matrix exponentials go
-through a Hermitian eigendecomposition, which is exact (no series truncation)
-for the rotation families used in this package.
+All tolerances are expressed in the max-entry norm.  Only the reference
+exponential `expm_generator` goes through a Hermitian eigendecomposition;
+rotations about a spin axis read the exact spectrum of J_n from
+`spins.core_spectrum` instead.
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return int(self.eigenvalues.shape[0])
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
@@ -65,17 +62,18 @@ def eig_hermitian(a: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
+def above_roundoff(w: np.ndarray) -> np.ndarray:
+    """Mask of the ascending eigenvalues w of a positive semidefinite matrix that
+    are above round-off, 16 w.size eps max w.  (A Gram matrix of K copies of one
+    column has spurious eigenvalues of up to about 3 eps max w.)"""
+    return w > 16 * w.size * np.finfo(float).eps * w[-1]
+
+
 def expm_generator(h: np.ndarray, theta: float) -> np.ndarray:
     """exp(-i*theta*H) for Hermitian H, built as V diag(e^{-i theta lam}) V^dag."""
     dec = eig_hermitian(h)
-    return unitary_from_spectrum(dec, theta)
-
-
-def unitary_from_spectrum(dec: SpectralDecomposition, theta: float) -> np.ndarray:
-    """exp(-i*theta*H) from a precomputed decomposition of H."""
     v = dec.eigenvectors
-    phases = np.exp(-1j * theta * dec.eigenvalues)
-    return (v * phases) @ dagger(v)
+    return (v * np.exp(-1j * theta * dec.eigenvalues)) @ dagger(v)
 
 
 def max_eig_sym3(m: np.ndarray) -> tuple[float, np.ndarray]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpectralDecomposition, max_abs, unitary_from_spectrum
+from .linalg import dagger, max_abs
 
 #: largest residual max|T w - mu w| and norm defect |w^T w - 1| accepted for an
 #: eigenvector column w of the core of J_n, relative to max(1, j)
@@ -164,17 +164,6 @@ def op_jz(space: SpinSpace) -> np.ndarray:
 def op_j(space: SpinSpace, axis) -> np.ndarray:
     """Collective spin component n.J = nx*Jx + ny*Jy + nz*Jz (Hermitian, dense)."""
     return _dense_j(space, *SpinAxis.from_spec(axis).vector)
-
-
-def j_spectrum(space: SpinSpace, axis) -> SpectralDecomposition:
-    """J_n = V diag(mu) V^dag with the eigenvalues exactly mu = -j .. j, ascending.
-
-    No eigenvalue is computed.  V = D W, with the real eigenvectors W and the
-    phase D of `core_spectrum`, whose columns are accepted on their unit norm
-    and residual (SPECTRUM_TOL).
-    """
-    w, phase = core_spectrum(space, axis)
-    return SpectralDecomposition(eigenvalues=space.mu, eigenvectors=phase[:, None] * w)
 
 
 def core_spectrum(space: SpinSpace, axis) -> tuple[np.ndarray, np.ndarray]:
@@ -388,8 +377,11 @@ def wigner_d_matrix(j: float, theta: float) -> np.ndarray:
 
 
 def rotation(space: SpinSpace, axis, theta: float) -> np.ndarray:
-    """Collective rotation exp(-i*theta*J_n) about the given Bloch axis."""
-    return unitary_from_spectrum(j_spectrum(space, axis), theta)
+    """Collective rotation exp(-i*theta*J_n) = V e^{-i theta mu} V^dag about the given
+    Bloch axis, with V = D W from `core_spectrum`; no eigenvalue is computed."""
+    w, phase = core_spectrum(space, axis)
+    v = phase[:, None] * w
+    return (v * np.exp(-1j * theta * space.mu)) @ dagger(v)
 
 
 def phase_shifter(space: SpinSpace, theta: float) -> np.ndarray:

@@ -12,11 +12,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import SpectralDecomposition, dagger, eig_hermitian, max_abs
+from .linalg import SpectralDecomposition, above_roundoff, dagger, eig_hermitian
 from .spins import SpinAxis, SpinSpace
 
 NORM_TOL = 1e-12
-EIGENVALUE_CLAMP = 1e-12
+NEGATIVE_EIGENVALUE_TOL = 1e-12
 
 
 def _fix_global_phase(amp: np.ndarray) -> np.ndarray:
@@ -54,13 +54,12 @@ class PureState:
 
 
 class MixedState:
-    """Density matrix rho = sum_r p_r |phi_r><phi_r|, stored by its support.
+    """Density matrix rho = sum_r p_r |phi_r><phi_r|, stored by its support: the
+    weights p_r above round-off (`above_roundoff`) and their orthonormal columns.
 
-    `MixedState(space, rho)` validates a dense rho and takes its spectrum from
-    eig_hermitian: eigenvalues in [-1e-12, 0) from round-off are clamped to
-    zero and the spectrum renormalised, and the stored rho is rebuilt from the
-    clamped spectrum so downstream probabilities stay strictly non-negative.
-    `mix` builds the state from a factor instead (`_from_factor`), with no
+    `MixedState(space, rho)` validates a dense rho (unit trace, Hermitian, no
+    eigenvalue below -1e-12) and keeps its eigenpairs above round-off, weights
+    renormalised; `mix` builds the state from a factor (`_from_factor`), with no
     dim x dim array.  The dense `rho` and the full `spectrum` are formed on
     demand and cached; evaluation reads only the support.
     """
@@ -69,36 +68,24 @@ class MixedState:
         rho = np.array(rho, dtype=complex)
         if rho.shape != (space.dim, space.dim):
             raise ValueError(f"expected a {space.dim}x{space.dim} density matrix")
-        asym = max_abs(rho - dagger(rho))
-        if asym > 1e-12:
-            raise ValueError(f"density matrix not Hermitian: |rho - rho^dag| = {asym:.3e}")
         tr = complex(np.trace(rho))
         if abs(tr - 1.0) > 1e-12:
             raise ValueError(f"density matrix trace {tr!r} is not 1")
         dec = eig_hermitian(rho)
-        w = dec.eigenvalues.copy()
-        if np.min(w) < -EIGENVALUE_CLAMP:
-            raise ValueError(
-                f"density matrix has negative eigenvalue {np.min(w):.3e}"
-            )
-        w = np.clip(w, 0.0, None)
-        w = w / np.sum(w)
-        self.spectrum = SpectralDecomposition(eigenvalues=w, eigenvectors=dec.eigenvectors)
-        self.rho = self.spectrum.reconstruct()
-        self.rho.setflags(write=False)
-        keep = w > 0
-        self._set(space, w[keep], dec.eigenvectors[:, keep])
+        w = dec.eigenvalues
+        if w[0] < -NEGATIVE_EIGENVALUE_TOL:
+            raise ValueError(f"density matrix has negative eigenvalue {w[0]:.3e}")
+        keep = above_roundoff(w)
+        self._set(space, w[keep] / np.sum(w[keep]), dec.eigenvectors[:, keep])
 
     @classmethod
     def _from_factor(cls, space: SpinSpace, b: np.ndarray) -> "MixedState":
         """rho = B B^dag for a (dim, K) factor B with unit trace, from the K x K Gram
         matrix B^dag B = U diag(g) U^dag in O(dim K^2): the weights are the g above
-        round-off, 16 K eps max g, and the support columns B U / sqrt(g).  (K copies
-        of one column give spurious g of up to about 3 eps max g.)"""
+        round-off and the support columns B U / sqrt(g)."""
         dec = eig_hermitian(dagger(b) @ b)
-        g = dec.eigenvalues
-        keep = g > 16 * g.size * np.finfo(float).eps * g[-1]
-        g = g[keep]
+        keep = above_roundoff(dec.eigenvalues)
+        g = dec.eigenvalues[keep]
         state = cls.__new__(cls)
         state._set(space, g / np.sum(g), (b @ dec.eigenvectors[:, keep]) / np.sqrt(g))
         return state
@@ -133,7 +120,7 @@ State = PureState | MixedState
 
 
 def spectral_support(state: State) -> tuple[np.ndarray, np.ndarray]:
-    """Weights p_r > 0 and the columns phi_r of rho = sum_r p_r |phi_r><phi_r|.
+    """Weights p_r above round-off and the columns phi_r of rho = sum_r p_r |phi_r><phi_r|.
 
     A pure state is its own single column with weight 1.
     """
@@ -143,10 +130,10 @@ def spectral_support(state: State) -> tuple[np.ndarray, np.ndarray]:
 
 
 def expectation(state: State, operator: np.ndarray) -> complex:
-    """<A> on a pure or mixed state (complex in general)."""
-    if isinstance(state, PureState):
-        return complex(state.amplitudes.conj() @ (operator @ state.amplitudes))
-    return complex(np.sum(state.rho * operator.T))
+    """<A> = Tr[A B B^dag] on a pure or mixed state, rho = B B^dag (complex in general)."""
+    p, phi = spectral_support(state)
+    b = phi * np.sqrt(p)
+    return complex(np.vdot(b, operator @ b))
 
 
 def variance(state: State, operator: np.ndarray) -> float:

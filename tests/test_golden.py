@@ -12,6 +12,9 @@ import importlib.util
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -92,3 +95,14 @@ def test_every_command_has_a_golden():
     from spinmetro.cli import COMMANDS
 
     assert {argv[0] for argv in golden.invocations().values()} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["--bogus"], 2), (["extra"], 2)])
+def test_script_writes_nothing_when_given_arguments(argv, code):
+    before = {f.name: f.stat().st_mtime_ns for f in golden.GOLDEN.iterdir()}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "golden.py"), *argv],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == code
+    assert "usage:" in (done.stdout if code == 0 else done.stderr)
+    assert {f.name: f.stat().st_mtime_ns for f in golden.GOLDEN.iterdir()} == before

@@ -9,9 +9,8 @@ from spinmetro import spins
 from spinmetro.linalg import dagger, max_abs
 from spinmetro.spins import (SPECTRUM_TOL, ReducedAccuracyWarning, SpinAxis,
                              SpinSpace, beam_splitter, casimir, core_spectrum,
-                             j_spectrum, mach_zehnder, op_j, op_jx, op_jy, op_jz,
-                             op_ladder_plus, phase_shifter, rotation, wigner_d,
-                             wigner_d_matrix)
+                             mach_zehnder, op_j, op_jx, op_jy, op_jz, op_ladder_plus,
+                             phase_shifter, rotation, wigner_d, wigner_d_matrix)
 
 
 class TestSpinSpace:
@@ -151,22 +150,25 @@ SPECTRUM_AXES = ("x", "y", "z", (0.0, -1.0, 0.0),
 
 
 class TestJSpectrum:
+    """J_n = V diag(mu) V^dag with V = D W from `core_spectrum` and the eigenvalues
+    exactly the labels mu = -j .. j."""
+
     @pytest.mark.parametrize("n", [1, 2, 5, 12, 40, 250])
     @pytest.mark.parametrize("axis", SPECTRUM_AXES, ids=["x", "y", "z", "-y", "oblique1", "oblique2"])
     def test_exact_labels_unitary_and_reconstruction(self, n, axis):
         space = SpinSpace(n)
-        dec = j_spectrum(space, axis)
-        assert np.array_equal(dec.eigenvalues, space.mu)
-        v = dec.eigenvectors
+        w, phase = core_spectrum(space, axis)
+        assert np.isrealobj(w) and w.shape == (space.dim, space.dim)
+        v = phase[:, None] * w
         assert max_abs(dagger(v) @ v - np.eye(space.dim)) < 1e-12
-        assert max_abs(dec.reconstruct() - op_j(space, axis)) < 1e-12
+        assert max_abs((v * space.mu) @ dagger(v) - op_j(space, axis)) < 1e-12
 
     def test_corrupted_core_raises(self, monkeypatch):
         # ladder coefficients 1e-3 too large move the spectrum of the core off mu
         exact = spins._half_ladder
         monkeypatch.setattr(spins, "_half_ladder", lambda space: exact(space) + 1e-3)
         with pytest.raises(RuntimeError, match="miss mu"):
-            j_spectrum(SpinSpace(6), "y")
+            core_spectrum(SpinSpace(6), "y")
         with pytest.raises(RuntimeError, match="miss mu"):
             rotation(SpinSpace(6), "x", 0.3)
 
