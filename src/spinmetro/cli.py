@@ -21,9 +21,8 @@ import numpy as np
 
 from . import __version__
 from .entanglement import entanglement_depth, squeezing
-from .estimation import (DEFAULT_DOMAIN, DomainError, StatisticalFailure,
-                         bayes_monte_carlo, bayes_posterior, mle_monte_carlo,
-                         moments_monte_carlo, posterior_summaries)
+from .estimation import (StatisticalFailure, bayes_monte_carlo, bayes_posterior,
+                         mle_monte_carlo, moments_monte_carlo, posterior_summaries)
 from .estimation import sample  # noqa: F401  (perfbench/test_perfbench.py reads cli.sample)
 from .fisher import fisher_information  # noqa: F401  (perfbench/test_perfbench.py reads it)
 from .fisher import (ProbabilityModel, bound_heisenberg, bound_shot_noise,
@@ -58,6 +57,35 @@ def _real(value, what: str) -> float:
 def _is_int(value) -> bool:
     """An int that is not a bool (bool subclasses int, so `true` would pass as 1)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _fields(value, count: int, what: str) -> tuple:
+    """A list or tuple of `count` fields as a tuple (config files hold lists)."""
+    if not isinstance(value, (list, tuple)) or len(value) != count:
+        raise ConfigError(f"{what} must hold {count} fields, got {value!r}")
+    return tuple(value)
+
+
+def _axis(spec) -> SpinAxis:
+    try:
+        return SpinAxis.from_spec(spec)
+    except (ValueError, TypeError) as err:
+        raise ConfigError(f"bad axis: {err}") from err
+
+
+def _spec(spec) -> dict:
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ConfigError("probe spec must be an object with a 'kind'")
+    return spec
+
+
+#: the fields each command needs beyond the defaults (m: at least 1), and the flag
+#: that gives each; RunConfig.validate checks them before any probe or model is built
+_REQUIRES = {"bounds": ("m",), "fisher-scan": ("theta_grid",), "mle": ("domain", "theta", "m"),
+             "bayes": ("domain", "theta"), "moments": ("domain", "theta", "m")}
+_NEEDS = {"theta_grid": "--theta-grid START:STOP:POINTS",
+          "domain": "--domain LO:HI (no default is assumed)",
+          "theta": "--theta (the true phase)", "m": "--m >= 1"}
 
 
 @dataclass
@@ -96,76 +124,76 @@ class RunConfig:
         if self.theta is not None:
             _real(self.theta, "theta")
         if self.theta_grid is not None:
-            start, stop, points = self.theta_grid
+            start, stop, points = self.theta_grid = _fields(self.theta_grid, 3, "theta_grid")
             _real(start, "theta grid start")
             _real(stop, "theta grid stop")
             if not _is_int(points) or points < 1:
                 raise ConfigError("theta grid must be finite with an integer points >= 1")
         if self.domain is not None:
-            lo, hi = self.domain
+            lo, hi = self.domain = _fields(self.domain, 2, "domain")
             if not _real(lo, "domain lo") < _real(hi, "domain hi"):
                 raise ConfigError("domain must be a non-empty finite interval lo < hi")
         if self.fisher_value is not None and _real(self.fisher_value, "fisher value") < 0:
             raise ConfigError("fisher value cannot be negative")
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError("out must be a path string")
-        if not isinstance(self.probe, dict) or "kind" not in self.probe:
-            raise ConfigError("probe spec must be an object with a 'kind'")
-        try:
-            SpinAxis.from_spec(self.axis)
-            SpinAxis.from_spec(self.probe.get("axis", self.axis))  # a ghz probe's own axis
-            for a in self.squeeze_axes:
-                SpinAxis.from_spec(a)
-        except (ValueError, TypeError) as err:
-            raise ConfigError(f"bad axis: {err}") from err
+        _axis(self.axis)
+        _axis(_spec(self.probe).get("axis", self.axis))  # a ghz probe's own axis
+        self.squeeze_axes = _fields(self.squeeze_axes, 3, "squeeze_axes")
+        for a in self.squeeze_axes:
+            _axis(a)
         if self.povm not in ("counting", "projection"):
             raise ConfigError("povm must be 'counting' or 'projection'")
+        for key in _REQUIRES.get(self.command, ()):
+            value = getattr(self, key)
+            if value is None or (key == "m" and value < 1):
+                raise ConfigError(f"{self.command} needs {_NEEDS[key]}")
         return self
 
     def to_json(self) -> dict:
-        data = asdict(self)
-        return json_safe(data)
+        return json_safe(asdict(self))
 
 
 def build_probe(config: RunConfig):
-    space = SpinSpace(config.n_particles)
-    spec = config.probe
-    kind = spec["kind"]
-    params = {k: v for k, v in spec.items() if k != "kind"}
+    return _probe(SpinSpace(config.n_particles), config.probe, config.axis)
+
+
+def _probe(space: SpinSpace, spec, axis):
+    """The state a probe spec names; a mix-spec builds each component the same way."""
+    kind = _spec(spec)["kind"]
     if kind == "fock":
-        return fock(space, _real(params.get("mu", space.j), "mu"))
+        return fock(space, _real(spec.get("mu", space.j), "mu"))
     if kind == "css":
-        return coherent_spin(space, _real(params.get("polar", math.pi / 2), "polar"),
-                             _real(params.get("azimuth", 0.0), "azimuth"))
+        return coherent_spin(space, _real(spec.get("polar", math.pi / 2), "polar"),
+                             _real(spec.get("azimuth", 0.0), "azimuth"))
     if kind == "noon":
         return noon(space)
     if kind == "twin-fock":
         return twin_fock(space)
     if kind == "ghz":
-        return ghz_along(space, params.get("axis", config.axis))
+        return ghz_along(space, _axis(spec.get("axis", axis)))
     if kind == "mix-spec":
-        comps = params.get("components")
+        comps = spec.get("components")
         if not comps or not isinstance(comps, list):
             raise ConfigError("mix-spec probe needs a 'components' list")
         parts = []
         for comp in comps:
             if not isinstance(comp, dict) or not {"weight", "probe"} <= comp.keys():
                 raise ConfigError("each mix-spec component needs a 'weight' and a 'probe'")
-            sub_config = RunConfig(command=config.command, n_particles=config.n_particles,
-                                   probe=comp["probe"], axis=config.axis).validate()
-            parts.append((_real(comp["weight"], "mix-spec weight"), build_probe(sub_config)))
+            parts.append((_real(comp["weight"], "mix-spec weight"),
+                          _probe(space, comp["probe"], axis)))
         return mix(parts)
     if kind == "state-file":
-        path = params.get("path")
+        path = spec.get("path")
         if not path or not isinstance(path, str):
             raise ConfigError("state-file probe needs a 'path'")
         try:
             state = state_from_json(json.loads(Path(path).read_text()))
         except (OSError, KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"state file {path!r}: {err!r}") from err
-        if state.space.n_particles != config.n_particles:
+        if state.space.n_particles != space.n_particles:
             raise ConfigError(f"state file {path!r} holds N = {state.space.n_particles} "
-                              f"particles, but n_particles is {config.n_particles}")
+                              f"particles, but n_particles is {space.n_particles}")
         return state
     raise ConfigError(f"unknown probe kind {kind!r}")
 
@@ -181,26 +209,8 @@ def build_model(config: RunConfig) -> ProbabilityModel:
     return ProbabilityModel(probe, config.axis, povm)
 
 
-def _theta_grid(config: RunConfig) -> np.ndarray:
-    if config.theta_grid is None:
-        raise ConfigError("this command needs --theta-grid START:STOP:POINTS")
-    start, stop, points = config.theta_grid
-    return np.linspace(start, stop, points)
-
-
-def _require_domain(config: RunConfig) -> tuple[float, float]:
-    if config.domain is None:
-        raise ConfigError(
-            "estimation commands need an explicit --domain LO:HI "
-            f"(library default would be {DEFAULT_DOMAIN})"
-        )
-    return config.domain
-
-
 def cmd_bounds(config: RunConfig):
     probe = build_probe(config)
-    if config.m < 1:
-        raise ConfigError("bounds needs m >= 1")
     n, m = config.n_particles, config.m
     fq = qfi(probe, config.axis)
     results = {
@@ -216,7 +226,7 @@ def cmd_bounds(config: RunConfig):
 
 def cmd_fisher_scan(config: RunConfig):
     model = build_model(config)
-    thetas = _theta_grid(config)
+    thetas = np.linspace(*config.theta_grid)
     moments = spin_moments(model.probe)
     fq = qfi(moments, config.axis)
     n = SpinAxis.from_spec(config.axis).as_array()
@@ -250,13 +260,8 @@ def cmd_qfi(config: RunConfig):
 
 def cmd_mle(config: RunConfig):
     model = build_model(config)
-    domain = _require_domain(config)
-    if config.theta is None:
-        raise ConfigError("mle needs --theta (the true phase)")
-    if config.m < 1:
-        raise ConfigError("mle needs m >= 1")
     report = mle_monte_carlo(model, config.theta, config.m, config.trials,
-                             config.seed, domain=domain)
+                             config.seed, domain=config.domain)
     if report.boundary_fraction > 0.5:
         raise StatisticalFailure(
             f"MLE landed on the domain boundary in "
@@ -280,11 +285,8 @@ def cmd_mle(config: RunConfig):
 
 def cmd_bayes(config: RunConfig):
     model = build_model(config)
-    domain = _require_domain(config)
-    if config.theta is None:
-        raise ConfigError("bayes needs --theta (the true phase)")
     if config.m == 0:
-        post = bayes_posterior(model, np.empty(0, dtype=np.int64), domain=domain)
+        post = bayes_posterior(model, np.empty(0, dtype=np.int64), domain=config.domain)
         summary = posterior_summaries(post)
         results = {
             "estimator": "bayes", "m": 0, "trials": 1,
@@ -293,7 +295,7 @@ def cmd_bayes(config: RunConfig):
         }
         return results, *posterior_table(post)
     report = bayes_monte_carlo(model, config.theta, config.m, config.trials,
-                               config.seed, domain=domain)
+                               config.seed, domain=config.domain)
     post = report.first_posterior
     results = {
         "estimator": "bayes",
@@ -312,12 +314,9 @@ def cmd_bayes(config: RunConfig):
 
 def cmd_moments(config: RunConfig):
     model = build_model(config)
-    domain = _require_domain(config)
-    if config.theta is None:
-        raise ConfigError("moments needs --theta (the true phase)")
     # J_z, which is diagonal in the Dicke basis, as its diagonal mu
     report = moments_monte_carlo(model, model.space.mu, config.theta, config.m,
-                                 config.trials, config.seed, domain=domain)
+                                 config.trials, config.seed, domain=config.domain)
     predictions = report.variance_predictions
     results = {
         "estimator": "moments",
@@ -387,105 +386,82 @@ COMMANDS = {
 }
 
 
-def _parse_pair(text: str, n: int, cast) -> tuple:
-    parts = text.split(":")
-    if len(parts) != n:
-        raise argparse.ArgumentTypeError(f"expected {n} ':'-separated fields")
-    try:
-        return tuple(cast(i, p) for i, p in enumerate(parts))
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from err
-
-
-def _domain_arg(text: str):
-    return _parse_pair(text, 2, lambda i, p: float(p))
-
-
-def _grid_arg(text: str):
-    return _parse_pair(text, 3, lambda i, p: int(p) if i == 2 else float(p))
+def _colon_arg(*casts):
+    """An argparse type for one ':'-separated field per cast, e.g. LO:HI."""
+    def parse(text: str) -> tuple:
+        parts = text.split(":")
+        if len(parts) != len(casts):
+            raise argparse.ArgumentTypeError(f"expected {len(casts)} ':'-separated fields")
+        try:
+            return tuple(cast(p) for cast, p in zip(casts, parts))
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from err
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One flat parser: the command and the options may come in any order."""
+    """One flat parser: the command and the options may come in any order.  Each
+    flag's dest is the RunConfig field it sets, apart from --config and the flags
+    that set one entry of the probe spec or of squeeze_axes; a flag not given
+    leaves no attribute."""
     parser = argparse.ArgumentParser(
         prog="spinmetro",
         description="SU(2) interferometer sensitivity toolkit (all angles in radians)",
+        argument_default=argparse.SUPPRESS,
     )
     add = parser.add_argument
     add("--version", action="version", version=__version__)
     add("command", choices=tuple(COMMANDS))
-    add("--config", type=str, default=None, help="JSON config file; flags override its fields")
-    add("--seed", type=int, default=None, help="64-bit RNG seed")
-    add("--out", type=str, default=None, help="output path (default stdout)")
-    add("--format", choices=("csv", "json"), default=None)
-    add("--n", type=int, default=None, help="number of particles")
-    add("--m", type=int, default=None, help="measurements per trial")
-    add("--trials", type=int, default=None)
-    add("--theta", type=float, default=None, help="true phase (rad)")
-    add("--theta-grid", type=_grid_arg, default=None, metavar="START:STOP:POINTS")
-    add("--domain", type=_domain_arg, default=None, metavar="LO:HI",
+    add("--config", help="JSON config file; flags override its fields")
+    add("--seed", type=int, help="64-bit RNG seed")
+    add("--out", help="output path (default stdout)")
+    add("--format", choices=("csv", "json"))
+    add("--n", dest="n_particles", type=int, help="number of particles")
+    add("--m", type=int, help="measurements per trial")
+    add("--trials", type=int)
+    add("--theta", type=float, help="true phase (rad)")
+    add("--theta-grid", type=_colon_arg(float, float, int), metavar="START:STOP:POINTS")
+    add("--domain", type=_colon_arg(float, float), metavar="LO:HI",
         help="estimation interval (rad); required for mle/bayes/moments")
-    add("--probe", type=str, default=None,
-        choices=("fock", "css", "noon", "twin-fock", "ghz", "mix-spec"))
-    add("--mu", type=float, default=None, help="fock label")
-    add("--polar", type=float, default=None, help="css polar angle")
-    add("--azimuth", type=float, default=None, help="css azimuth")
-    add("--axis", type=str, default=None, help="x|y|z|nx,ny,nz")
-    add("--povm", type=str, default=None, choices=("counting", "projection"))
-    add("--fisher", type=float, default=None, help="measured Fisher value for the depth witness")
-    add("--n1", type=str, default=None, help="squeezing axis n1")
-    add("--n2", type=str, default=None, help="rotation axis n2")
-    add("--n3", type=str, default=None, help="squeezing axis n3")
+    add("--probe", choices=("fock", "css", "noon", "twin-fock", "ghz", "mix-spec"))
+    add("--mu", type=float, help="fock label")
+    add("--polar", type=float, help="css polar angle")
+    add("--azimuth", type=float, help="css azimuth")
+    add("--axis", help="x|y|z|nx,ny,nz")
+    add("--povm", choices=("counting", "projection"))
+    add("--fisher", dest="fisher_value", type=float,
+        help="measured Fisher value for the depth witness")
+    add("--n1", help="squeezing axis n1")
+    add("--n2", help="rotation axis n2")
+    add("--n3", help="squeezing axis n3")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    base: dict = {}
-    if args.config:
+    """The config file's fields, overlaid by the flags that were given, validated."""
+    flags = vars(args).copy()
+    values: dict = {}
+    path = flags.pop("config", None)
+    if path:
         try:
-            base = json.loads(Path(args.config).read_text())
+            values = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as err:
             raise ConfigError(f"cannot read config file: {err}") from err
-        if not isinstance(base, dict):
+        if not isinstance(values, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = sorted(base.keys() - {f.name for f in fields(RunConfig)})
+        unknown = sorted(values.keys() - {f.name for f in fields(RunConfig)})
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    config = RunConfig(command=args.command)
-    for key in ("n_particles", "axis", "povm", "theta", "m", "trials", "seed",
-                "fisher_value", "out", "format"):
-        if key in base:
-            setattr(config, key, base[key])
-    if base.get("probe") is not None:
-        if not isinstance(base["probe"], dict):
-            raise ConfigError("probe spec must be an object with a 'kind'")
-        config.probe = dict(base["probe"])
-    for key, count in (("theta_grid", 3), ("domain", 2), ("squeeze_axes", 3)):
-        value = base.get(key)
-        if value is not None:
-            if not isinstance(value, (list, tuple)) or len(value) != count:
-                raise ConfigError(f"{key} must hold {count} fields, got {value!r}")
-            setattr(config, key, tuple(value))
-
-    for key, flag in (("n_particles", args.n), ("seed", args.seed), ("m", args.m),
-                      ("trials", args.trials), ("theta", args.theta),
-                      ("theta_grid", args.theta_grid), ("domain", args.domain),
-                      ("axis", args.axis), ("povm", args.povm),
-                      ("fisher_value", args.fisher), ("out", args.out),
-                      ("format", args.format)):
-        if flag is not None:
-            setattr(config, key, flag)
-    if args.probe is not None:
-        config.probe = {"kind": args.probe}
-    for probe_key, flag in (("mu", args.mu), ("polar", args.polar),
-                            ("azimuth", args.azimuth)):
-        if flag is not None:
-            config.probe[probe_key] = flag
-    axes = list(config.squeeze_axes)
-    for i, flag in enumerate((args.n1, args.n2, args.n3)):
-        if flag is not None:
-            axes[i] = flag
-    config.squeeze_axes = tuple(axes)
+    probe = {key: flags.pop(key) for key in ("mu", "polar", "azimuth") if key in flags}
+    axes = {i: flags.pop(key) for i, key in enumerate(("n1", "n2", "n3")) if key in flags}
+    if "probe" in flags:
+        flags["probe"] = {"kind": flags["probe"]}
+    config = RunConfig(**{**values, **flags})
+    if probe and isinstance(config.probe, dict):
+        config.probe = {**config.probe, **probe}
+    if axes:
+        config.squeeze_axes = tuple(axes.get(i, a) for i, a in enumerate(
+            _fields(config.squeeze_axes, 3, "squeeze_axes")))
     return config.validate()
 
 
@@ -513,9 +489,6 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         text = run(config)
-    except (ConfigError, DomainError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
     except StatisticalFailure as err:
         print(f"statistical failure: {err}", file=sys.stderr)
         return EXIT_STATISTICAL

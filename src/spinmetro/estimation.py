@@ -402,28 +402,20 @@ def posterior_summaries(post: PosteriorDistribution) -> PosteriorSummary:
     mean, var = _moments(x, f)
     mode = float(x[np.argmax(f)])
 
-    steps = np.diff(x)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * steps)])
-    total = cum[-1]
-
-    def contained(delta):
-        hi_v = float(np.interp(min(mean + delta, x[-1]), x, cum))
-        lo_v = float(np.interp(max(mean - delta, x[0]), x, cum))
-        return (hi_v - lo_v) / total
-
-    lo_d, hi_d = 0.0, float(max(mean - x[0], x[-1] - mean))
-    if contained(hi_d) < CREDIBLE_MASS:
-        delta = hi_d
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(x))])
+    # The mass within mean +- delta is piecewise linear in delta, with kinks where
+    # mean +- delta meets a grid point (np.interp holds it constant past a border),
+    # so it is exact at the kinks d and linear between them.
+    d = np.concatenate([[0.0], np.sort(np.abs(x - mean))])
+    mass = (np.interp(mean + d, x, cum) - np.interp(mean - d, x, cum)) / cum[-1]
+    if mass[-1] < CREDIBLE_MASS:
+        delta = float(d[-1])
     else:
-        for _ in range(200):
-            mid = 0.5 * (lo_d + hi_d)
-            if not lo_d < mid < hi_d:  # the bracket cannot shrink any further
-                break
-            if contained(mid) < CREDIBLE_MASS:
-                lo_d = mid
-            else:
-                hi_d = mid
-        delta = 0.5 * (lo_d + hi_d)
+        # the first kink that holds the mass, and the one before it, which does not;
+        # mass[k] > mass[k - 1], so a flat stretch (zero density) is never divided by
+        k = int(np.argmax(mass >= CREDIBLE_MASS))
+        t = (CREDIBLE_MASS - mass[k - 1]) / (mass[k] - mass[k - 1])
+        delta = float(d[k - 1] + t * (d[k] - d[k - 1]))
     return PosteriorSummary(mean=mean, mode=mode, variance=var, credible_halfwidth=delta)
 
 

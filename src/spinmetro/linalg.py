@@ -77,7 +77,14 @@ def expm_generator(h: np.ndarray, theta: float) -> np.ndarray:
 
 
 def max_eig_sym3(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and a unit eigenvector of a real symmetric 3x3 matrix."""
+    """Largest eigenvalue and a canonical unit eigenvector of a real symmetric 3x3 matrix.
+
+    The top eigenspace holds the eigenvalues within 1e-9 of the largest, relative
+    to the largest |eigenvalue|.  Of e_x, e_y, e_z the first whose projection onto
+    it is, within 1e-9, the longest is projected and normalised, so a degenerate
+    top eigenvalue gives the same vector, to round-off, on every LAPACK build; for
+    a simple one this only fixes the sign, making the largest component positive.
+    """
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
@@ -88,4 +95,7 @@ def max_eig_sym3(m: np.ndarray) -> tuple[float, np.ndarray]:
             f"matrix is not symmetric: max|M - M^T| = {max_abs(m - m.T):.3e}"
         )
     w, v = np.linalg.eigh(m)
-    return float(w[-1]), v[:, -1].copy()
+    top = v[:, w >= w[-1] - 1e-9 * np.max(np.abs(w))]
+    lengths = np.linalg.norm(top, axis=1)  # |projection of e_k| is the norm of row k
+    k = int(np.argmax(lengths >= lengths.max() - 1e-9))
+    return float(w[-1]), top @ top[k] / lengths[k]

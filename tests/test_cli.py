@@ -1,9 +1,11 @@
+import argparse
+import dataclasses
 import json
 import math
 
 import pytest
 
-from spinmetro import __version__
+from spinmetro import __version__, cli
 from spinmetro.cli import (EXIT_CONFIG, EXIT_OK, EXIT_STATISTICAL, N_MAX,
                            RunConfig, build_parser, config_from_args, main, run)
 from spinmetro.spins import SpinSpace
@@ -226,6 +228,8 @@ BAD_CONFIG_FIELDS = {
     "out-not-a-string": {"out": 5},
     "state-file-missing": {"probe": {"kind": "state-file", "path": "missing.json"}},
     "ghz-axis-number": {"probe": {"kind": "ghz", "axis": 5}},
+    "mix-component-ghz-axis-number": {"probe": {"kind": "mix-spec", "components": [
+        {"weight": 1.0, "probe": {"kind": "ghz", "axis": 5}}]}},
     "m-and-trials-bool": {"m": True, "trials": True},
     "n-particles-bool": {"n_particles": True},
     "seed-bool": {"seed": False},
@@ -327,3 +331,48 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "N = 4" in err and "n_particles is 10" in err
         assert main([command, "--n", "4", "--config", str(config_file)]) == EXIT_OK
+
+
+#: every (command, requirement) pair, with the flag that meets the requirement
+REQUIREMENTS = [
+    ("bounds", "m"), ("fisher-scan", "theta_grid"),
+    ("mle", "domain"), ("mle", "theta"), ("mle", "m"),
+    ("bayes", "domain"), ("bayes", "theta"),
+    ("moments", "domain"), ("moments", "theta"), ("moments", "m"),
+]
+MEETS = {"theta_grid": ["--theta-grid", "0.1:1.4:8"], "domain": ["--domain", "0:1.5"],
+         "theta": ["--theta", "0.7"], "m": ["--m", "10"]}
+
+
+class TestRequirements:
+    def test_table_lists_every_requirement(self):
+        assert sorted((c, r) for c, reqs in cli._REQUIRES.items() for r in reqs) == sorted(
+            REQUIREMENTS)
+
+    @pytest.mark.parametrize("command, missing", REQUIREMENTS,
+                             ids=[f"{c}-{r}" for c, r in REQUIREMENTS])
+    def test_missing_requirement_exits_2_before_anything_is_built(
+            self, monkeypatch, capsys, command, missing):
+        def built(*args, **kwargs):
+            raise AssertionError("a probe or model was built")
+
+        monkeypatch.setattr(cli, "build_probe", built)
+        monkeypatch.setattr(cli, "ProbabilityModel", built)
+        argv = [command, "--n", str(N_MAX), "--probe", "css"]
+        for key in (r for c, r in REQUIREMENTS if c == command and r != missing):
+            argv += MEETS[key]
+        if missing == "m":  # m defaults to 1, so the missing case is m = 0
+            argv += ["--m", "0"]
+        assert main(argv) == EXIT_CONFIG
+        lines = capsys.readouterr().err.strip().splitlines()
+        flag = "--" + missing.replace("_", "-")
+        assert len(lines) == 1 and lines[0].startswith(f"error: {command} needs {flag}"), lines
+
+
+def test_every_parser_dest_is_a_config_field():
+    """Each flag sets the RunConfig field of its dest, apart from the listed extras."""
+    dests = {action.dest for action in build_parser()._actions
+             if not isinstance(action, (argparse._HelpAction, argparse._VersionAction))}
+    extras = {"config", "mu", "polar", "azimuth", "n1", "n2", "n3"}
+    assert dests - extras <= {f.name for f in dataclasses.fields(RunConfig)}
+    assert extras <= dests

@@ -108,11 +108,24 @@ def test_max_eig_sym3_diagonal():
 
 
 def test_max_eig_sym3_degenerate_plane():
-    lam, vec = max_eig_sym3(np.diag([2.0, 2.0, 1.0]))
-    assert lam == pytest.approx(2.0, abs=1e-12)
-    # any unit vector in the x-y plane is a valid answer
-    assert abs(vec[2]) < 1e-10
-    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+    u = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    for m, lam_max, canonical in (
+        (np.diag([2.0, 2.0, 1.0]), 2.0, (1, 0, 0)),  # x-y plane: e_x is the first longest
+        (np.diag([1.0, 2.0, 2.0]), 2.0, (0, 1, 0)),  # y-z plane, as for css along x
+        (np.zeros((3, 3)), 0.0, (1, 0, 0)),  # threefold (gamma = 0): every axis, so e_x
+        # the plane of (1, 1, 0)/sqrt2 and e_z: e_z projects whole, e_x and e_y by 1/sqrt2
+        (3.0 * np.eye(3) - 2.0 * np.outer(u, u), 3.0, (0, 0, 1)),
+    ):
+        lam, vec = max_eig_sym3(m)
+        assert lam == pytest.approx(lam_max, abs=1e-12)
+        assert np.allclose(vec, canonical, rtol=0, atol=1e-12), (m, vec)
+
+
+def test_max_eig_sym3_simple_top_has_positive_largest_component():
+    u = np.array([0.3, -0.9, 0.1])
+    lam, vec = max_eig_sym3(np.outer(u, u))
+    assert lam == pytest.approx(u @ u, abs=1e-12)
+    assert np.allclose(vec, -u / np.linalg.norm(u), rtol=0, atol=1e-12)
 
 
 def test_max_eig_sym3_random_matches_cubic_oracle(rng):
