@@ -80,7 +80,8 @@ def _spec(spec) -> dict:
 
 
 #: the fields each command needs beyond the defaults (m: at least 1), and the flag
-#: that gives each; RunConfig.validate checks them before any probe or model is built
+#: that gives each; RunConfig.validate checks them before any probe or model is built.
+#: `bayes --m 0` is the flat prior, which reads no theta.
 _REQUIRES = {"bounds": ("m",), "fisher-scan": ("theta_grid",), "mle": ("domain", "theta", "m"),
              "bayes": ("domain", "theta"), "moments": ("domain", "theta", "m")}
 _NEEDS = {"theta_grid": "--theta-grid START:STOP:POINTS",
@@ -145,6 +146,8 @@ class RunConfig:
         if self.povm not in ("counting", "projection"):
             raise ConfigError("povm must be 'counting' or 'projection'")
         for key in _REQUIRES.get(self.command, ()):
+            if key == "theta" and self.command == "bayes" and self.m == 0:
+                continue
             value = getattr(self, key)
             if value is None or (key == "m" and value < 1):
                 raise ConfigError(f"{self.command} needs {_NEEDS[key]}")
@@ -423,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("--theta-grid", type=_colon_arg(float, float, int), metavar="START:STOP:POINTS")
     add("--domain", type=_colon_arg(float, float), metavar="LO:HI",
         help="estimation interval (rad); required for mle/bayes/moments")
-    add("--probe", choices=("fock", "css", "noon", "twin-fock", "ghz", "mix-spec"))
+    # a mix-spec probe needs its components, so it comes only from --config
+    add("--probe", choices=("fock", "css", "noon", "twin-fock", "ghz"))
     add("--mu", type=float, help="fock label")
     add("--polar", type=float, help="css polar angle")
     add("--azimuth", type=float, help="css azimuth")

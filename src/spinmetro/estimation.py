@@ -3,10 +3,12 @@
 Sampling is backed by the counter-based Philox generator: one 64-bit seed
 keys the whole experiment and every Monte-Carlo trial gets its own counter
 stream, so trials are reproducible and independently parallelisable without
-sequence sharing.  A harness keys one Philox bit generator and rewinds it to
-the start of each trial's stream, and inverts one CDF of P(theta_true) for
-every trial.  All likelihood work happens in log space with per-sample max
-subtraction.
+sequence sharing.  Each harness makes one `sample(..., trials=T)` call: it
+keys one Philox bit generator, rewinds it to the start of each trial's
+stream, and counts every trial's draws against one CDF of P(theta_true) in
+blocks, without mapping each draw to its outcome.  The harness then refines
+or builds every trial's estimate or posterior as rows of one array.  All
+likelihood work happens in log space with per-sample max subtraction.
 """
 
 from __future__ import annotations
@@ -84,12 +86,21 @@ class _PhiloxStreams:
 
     def at(self, stream) -> np.random.Generator:
         """The generator, positioned at the first draw of `stream`."""
-        stream = _index(stream, "stream", 0, 2**128)
+        self._rewind(_index(stream, "stream", 0, 2**128))
+        return self._generator
+
+    def fill(self, first: int, out: np.ndarray) -> None:
+        """Row r of the float array `out` <- the first draws of stream first + r;
+        the caller checks that every stream lies in [0, 2**128)."""
+        for r, row in enumerate(out):
+            self._rewind(first + r)
+            self._generator.random(out=row)
+
+    def _rewind(self, stream: int) -> None:
         state = self._state
         state["state"]["counter"] = [0, 0, stream & (2**64 - 1), stream >> 64]
         state["buffer_pos"], state["has_uint32"], state["uinteger"] = 4, 0, 0
         self._bitgen.state = state
-        return self._generator
 
 
 def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:
@@ -139,30 +150,64 @@ class OutcomeSample:
         return self._counts
 
 
-class _TrialDraws:
-    """What a Monte-Carlo harness shares over its trials: the CDF of the
-    outcome probabilities `p` at the true phase and one Philox source."""
+#: trials per block of the batched count: the r * 2**53 key shifts stay below 2**63
+_DRAW_ROWS = 256
+#: draws per block of the batched count, bounding its buffer for large m
+_DRAW_BLOCK = 2**17
+#: a double from `Generator.random` is k / 2**53 for an integer 0 <= k < 2**53
+_KEY_SCALE = 2.0**53
 
-    def __init__(self, p: np.ndarray, seed):
-        self.cdf = np.cumsum(p)
-        self.cdf[-1] = max(self.cdf[-1], 1.0)  # guard the top edge against round-off
-        self.streams = _PhiloxStreams(seed)
+
+def _count_draws(streams: _PhiloxStreams, cdf: np.ndarray, m: int, first: int,
+                 trials: int) -> np.ndarray:
+    """(trials, outcomes) counts: row t is the bincount of cdf.searchsorted(u,
+    "right") over the m draws u of stream first + t.
+
+    A draw u = k / 2**53 lies below an edge c exactly when k < ceil(c 2**53), so
+    sorting each row's keys k and searching for the edges counts the draws below
+    every edge.  Row r's keys and edges are shifted by r 2**53, which keeps the
+    rows of a block apart, so one search serves the block.
+    """
+    edges = np.minimum(np.ceil(cdf * _KEY_SCALE), _KEY_SCALE).astype(np.int64)
+    rows = min(trials, _DRAW_ROWS, max(1, _DRAW_BLOCK // m))
+    draws = np.empty((rows, m))
+    keys = draws.view(np.int64)  # each row's keys overwrite its draws
+    shift = np.arange(rows, dtype=np.int64)[:, None] << 53
+    counts = np.empty((trials, cdf.size), dtype=np.int64)
+    for start in range(0, trials, rows):
+        b = min(rows, trials - start)
+        streams.fill(first + start, draws[:b])
+        block = keys[:b]
+        np.multiply(draws[:b], _KEY_SCALE, out=block, casting="unsafe")
+        block.sort(axis=1)
+        block += shift[:b]
+        below = block.ravel().searchsorted(edges + shift[:b])
+        counts[start:start + b] = np.diff(below, axis=1, prepend=m * np.arange(b)[:, None])
+    return counts
 
 
 def sample(model: ProbabilityModel, theta_true: float, m: int, seed: int,
-           stream: int = 0, *, draws: _TrialDraws | None = None) -> OutcomeSample:
+           stream: int = 0, *, trials: int | None = None) -> OutcomeSample | np.ndarray:
     """Draw m outcomes by inverse CDF over the outcome table; deterministic in seed.
 
-    `draws` is the CDF and Philox source a harness drawing every trial at
-    one angle builds once from `seed` and `model.probabilities(theta_true)`.
+    Without `trials`, the OutcomeSample of Philox stream `stream`.  With it,
+    the (trials, outcomes) count matrix whose row t is the `counts()` of the
+    sample of stream `stream + t`, all drawn from one P(theta_true).
     """
     m = _index(m, "m", 1)
-    if draws is None:
-        draws = _TrialDraws(model.probabilities(theta_true), seed)
-    u = draws.streams.at(stream).random(m)
-    outcomes = draws.cdf.searchsorted(u, side="right")
+    stream = _index(stream, "stream", 0, 2**128)
+    cdf = np.cumsum(model.probabilities(theta_true))
+    cdf[-1] = max(cdf[-1], 1.0)  # guard the top edge against round-off
+    streams = _PhiloxStreams(seed)
+    if trials is not None:
+        trials = _index(trials, "trials", 1)
+        _index(stream + trials - 1, "last stream", 0, 2**128)
+        return _count_draws(streams, cdf, m, stream, trials)
+    draws = np.empty((1, m))
+    streams.fill(stream, draws)
     return OutcomeSample(model=model, theta_true=float(theta_true),
-                         outcomes=outcomes, seed=int(seed), stream=int(stream))
+                         outcomes=cdf.searchsorted(draws[0], side="right"),
+                         seed=int(seed), stream=stream)
 
 
 def _log_table(model: ProbabilityModel, thetas) -> np.ndarray:
@@ -186,23 +231,28 @@ class MleEstimate:
     boundary: bool
 
 
-#: trials per block of the grid stage and of Newton's steps, bounding their scratch
+#: trials per block of the MLE grid stage, bounding its (block, MLE_GRID) product
 _GRID_BLOCK = 256
 #: Newton steps per block before a refinement gives up (bisection alone needs far fewer)
 _NEWTON_STEPS = 64
+#: trial-outcome cells per block of Newton's steps: a step's second-order kernel pass
+#: keeps about 130 bytes per cell, so a block's scratch stays near 1 MB
+_NEWTON_BLOCK = 2**13
 
 
-def _newton(g, x, a, b, step_tol, width_tol):
+def _newton(g, x, a, b, step_tol, width_tol, n_outcomes):
     """Row-wise roots of increasing functions in brackets [a, b], from x, in place.
 
     `g(rows, x)` gives the values and slopes of the functions `rows` at x;
-    each call covers the open rows of one block of _GRID_BLOCK.  Each
-    value's sign moves its bracket to x and an exact zero keeps x; a step
-    outside the bracket (inclusive) or a slope <= 0 bisects it.  A row stops
-    once its step is <= step_tol or its bracket <= width_tol.
+    each call covers the open rows of one block of _NEWTON_BLOCK //
+    n_outcomes rows.  Each value's sign moves its bracket to x and an exact
+    zero keeps x; a step outside the bracket (inclusive) or a slope <= 0
+    bisects it.  A row stops once its step is <= step_tol or its bracket
+    <= width_tol.
     """
-    for start in range(0, x.size, _GRID_BLOCK):
-        rows = np.arange(start, min(start + _GRID_BLOCK, x.size))
+    block = max(1, _NEWTON_BLOCK // n_outcomes)
+    for start in range(0, x.size, block):
+        rows = np.arange(start, min(start + block, x.size))
         for _ in range(_NEWTON_STEPS):
             xr = x[rows]
             val, slope = g(rows, xr)
@@ -242,7 +292,8 @@ def _mle_refine(model, counts, domain):
         return -_vecdot(ratio, n), _vecdot(ratio ** 2 - d2p * inv, n)
 
     est = _newton(minus_score, grid[best], grid[np.maximum(best - 1, 0)],
-                  grid[np.minimum(best + 1, MLE_GRID - 1)], 1e-10, MLE_TOL)
+                  grid[np.minimum(best + 1, MLE_GRID - 1)], 1e-10, MLE_TOL,
+                  model.n_outcomes)
     boundary = (est - lo < 2 * MLE_TOL) | (hi - est < 2 * MLE_TOL)
     return est, boundary
 
@@ -305,16 +356,6 @@ class EstimationReport:
         return self.mean - self.theta_true
 
 
-def _count_matrix(model: ProbabilityModel, theta_true: float, m: int, trials: int,
-                  seed: int) -> np.ndarray:
-    """(trials, outcomes) outcome counts; row t is `sample` on Philox stream t,
-    every trial drawn from one P(theta_true)."""
-    trials = _index(trials, "trials", 1)
-    draws = _TrialDraws(model.probabilities(theta_true), seed)
-    return np.array([sample(model, theta_true, m, seed, stream=t, draws=draws).counts()
-                     for t in range(trials)])
-
-
 def _crlb(model: ProbabilityModel, theta_true: float, m: int) -> float:
     fi = fisher_information(model, theta_true).fi
     return 1.0 / (m * fi) if fi > 0 else math.inf
@@ -323,7 +364,7 @@ def _crlb(model: ProbabilityModel, theta_true: float, m: int) -> float:
 def mle_monte_carlo(model: ProbabilityModel, theta_true: float, m: int, trials: int,
                     seed: int, domain=DEFAULT_DOMAIN) -> EstimationReport:
     """MLE of every trial's counts at once; compare the spread with 1/(m F)."""
-    counts = _count_matrix(model, theta_true, m, trials, seed)
+    counts = sample(model, theta_true, m, seed, trials=trials)
     estimates, boundary = _mle_refine(model, counts, domain)
     return EstimationReport(
         estimator="mle", theta_true=float(theta_true), m=int(m), seed=int(seed),
@@ -357,6 +398,55 @@ class PosteriorDistribution:
         object.__setattr__(self, "density", dens)
 
 
+#: trials per block of the Bayes harness: a (block, BAYES_GRID) array takes 256 KB,
+#: so the handful alive at once stay near 1 MB
+_BAYES_BLOCK = 2**15 // BAYES_GRID
+
+
+def _raise_first(failures) -> None:
+    """Raise, for the lowest failing row, the error of the first check it fails.
+
+    `failures` lists (row mask, row -> exception) in check order, so a block of
+    rows fails as the rows would one after another.
+    """
+    failed = np.logical_or.reduce([mask for mask, _ in failures])
+    if failed.any():
+        row = int(np.argmax(failed))
+        raise next(error(row) for mask, error in failures if mask[row])
+
+
+def _log_likelihoods(logp_grid: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(rows, grid) log-likelihoods of a (rows, outcomes) count matrix.
+
+    One stacked product of one vector per row, so a row's values do not depend
+    on the rows beside it: a BLAS matrix product sums in an order that does,
+    and trial 0 of a harness must match its one-row `bayes_posterior`.
+    """
+    return np.matmul(counts[:, None, :], logp_grid.T)[:, 0]
+
+
+def _normalised(grid: np.ndarray, logpost: np.ndarray):
+    """Row-wise densities exp(L - max L), trapezoid-normalised, of a (rows, grid)
+    block of log-posteriors, and the failures of each row in check order."""
+    with np.errstate(all="ignore"):  # a failing row's inf or nan is reported below
+        peak = np.max(logpost, axis=1)
+        density = np.exp(logpost - peak[:, None])
+        norm = _trapz(density, grid, axis=1)
+        density /= norm[:, None]
+    return density, [
+        (~np.isfinite(peak),
+         lambda r: StatisticalFailure("posterior underflowed to zero everywhere")),
+        (~((norm > 0) & np.isfinite(norm)),
+         lambda r: StatisticalFailure("posterior could not be normalised")),
+    ]
+
+
+def _moments(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise trapezoidal means and variances of the (rows, grid) densities f."""
+    mean = _trapz(x * f, x, axis=1)
+    return mean, _trapz((x - mean[:, None]) ** 2 * f, x, axis=1)
+
+
 def bayes_posterior(model: ProbabilityModel, outcomes,
                     domain=DEFAULT_DOMAIN) -> PosteriorDistribution:
     """Flat-prior posterior P(phi|eps) on BAYES_GRID points: exp(L - max),
@@ -364,27 +454,13 @@ def bayes_posterior(model: ProbabilityModel, outcomes,
     grid = np.linspace(*_interval(domain), BAYES_GRID)
     outcomes = np.asarray(outcomes, dtype=np.int64)
     if outcomes.size:
-        loglik = log_likelihood(model, outcomes, grid)
+        counts = np.bincount(outcomes, minlength=model.n_outcomes)
+        logpost = _log_likelihoods(_log_table(model, grid), counts[None, :])
     else:
-        loglik = np.zeros_like(grid)
-    return _normalised_posterior(grid, loglik)
-
-
-def _normalised_posterior(grid, logpost) -> PosteriorDistribution:
-    peak = float(np.max(logpost))
-    if not np.isfinite(peak):
-        raise StatisticalFailure("posterior underflowed to zero everywhere")
-    density = np.exp(logpost - peak)
-    norm = float(_trapz(density, grid))
-    if norm <= 0 or not np.isfinite(norm):
-        raise StatisticalFailure("posterior could not be normalised")
-    return PosteriorDistribution(grid=grid, density=density / norm)
-
-
-def _moments(x: np.ndarray, f: np.ndarray) -> tuple[float, float]:
-    """Trapezoidal mean and variance of the density f on the grid x."""
-    mean = float(_trapz(x * f, x))
-    return mean, float(_trapz((x - mean) ** 2 * f, x))
+        logpost = np.zeros((1, BAYES_GRID))
+    density, failures = _normalised(grid, logpost)
+    _raise_first(failures)
+    return PosteriorDistribution(grid=grid, density=density[0])
 
 
 @dataclass(frozen=True)
@@ -399,7 +475,8 @@ def posterior_summaries(post: PosteriorDistribution) -> PosteriorSummary:
     """Trapezoidal mean and variance, the mode, and the credible half-width Delta
     that holds CREDIBLE_MASS symmetrically around the mean."""
     x, f = post.grid, post.density
-    mean, var = _moments(x, f)
+    (mean,), (var,) = _moments(x, f[None, :])
+    mean, var = float(mean), float(var)
     mode = float(x[np.argmax(f)])
 
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(x))])
@@ -423,6 +500,30 @@ class BorderSupportError(StatisticalFailure):
     """The posterior does not vanish at the domain borders."""
 
 
+def _variance_bounds(x: np.ndarray, f: np.ndarray):
+    """Row-wise means, variances and variance bounds 1/G of the normalised
+    (rows, grid) densities f, and the failures of each row in check order."""
+    with np.errstate(all="ignore"):  # a failing row's inf or nan is reported below
+        mean, var = _moments(x, f)
+        peak = np.max(f, axis=1)
+        df = np.gradient(f, x, axis=1)
+        integrand = np.divide(df ** 2, f, out=np.zeros_like(f),
+                              where=f > P_FLOOR * peak[:, None])
+        g = _trapz(integrand, x, axis=1)
+        bound = 1.0 / g
+    return mean, var, bound, [
+        ((f[:, 0] > BORDER_TOL * peak) | (f[:, -1] > BORDER_TOL * peak),
+         lambda r: BorderSupportError(
+             "posterior does not vanish at the domain borders; the variance "
+             "bound's boundary conditions fail")),
+        (g <= 0, lambda r: StatisticalFailure("degenerate posterior: G evaluated to zero")),
+        (var < bound * (1.0 - GRID_RTOL) - 1e-15,
+         lambda r: AssertionError(
+             f"posterior variance {var[r]:.6e} fell below its bound {bound[r]:.6e}; "
+             "refine the grid")),
+    ]
+
+
 def bayes_variance_bound(post: PosteriorDistribution) -> float:
     """Lower bound 1/G on the posterior variance, G = int (dP/dphi)^2 / P dphi.
 
@@ -431,28 +532,9 @@ def bayes_variance_bound(post: PosteriorDistribution) -> float:
     finite difference on the grid; the resulting bound is verified against
     the posterior variance up to the relative grid tolerance GRID_RTOL.
     """
-    x, f = post.grid, post.density
-    peak = float(np.max(f))
-    if f[0] > BORDER_TOL * peak or f[-1] > BORDER_TOL * peak:
-        raise BorderSupportError(
-            "posterior does not vanish at the domain borders; the variance "
-            "bound's boundary conditions fail"
-        )
-    df = np.gradient(f, x)
-    integrand = np.zeros_like(f)
-    mask = f > P_FLOOR * peak
-    integrand[mask] = df[mask] ** 2 / f[mask]
-    g = float(_trapz(integrand, x))
-    if g <= 0:
-        raise StatisticalFailure("degenerate posterior: G evaluated to zero")
-    bound = 1.0 / g
-    _, var = _moments(x, f)
-    if var < bound * (1.0 - GRID_RTOL) - 1e-15:
-        raise AssertionError(
-            f"posterior variance {var:.6e} fell below its bound {bound:.6e}; "
-            "refine the grid"
-        )
-    return bound
+    _, _, (bound,), failures = _variance_bounds(post.grid, post.density[None, :])
+    _raise_first(failures)
+    return float(bound)
 
 
 @dataclass(frozen=True)
@@ -484,24 +566,29 @@ class BayesReport:
 
 def bayes_monte_carlo(model: ProbabilityModel, theta_true: float, m: int, trials: int,
                       seed: int, domain=DEFAULT_DOMAIN) -> BayesReport:
-    """Sample, build the posterior, and collect means, variances and G over trials.
+    """Sample, build the posteriors, and collect means, variances and G over trials.
 
-    The log-probability grid is built once and shared by every trial; the
-    report keeps trial 0's posterior.
+    The log-probability grid is built once and shared by every trial; each
+    block of _BAYES_BLOCK trials is one (block, BAYES_GRID) array of
+    posteriors, and a failing block raises what its first failing trial
+    would.  The report keeps trial 0's posterior.
     """
     grid = np.linspace(*_interval(domain), BAYES_GRID)
-    counts = _count_matrix(model, theta_true, m, trials, seed)
+    counts = sample(model, theta_true, m, seed, trials=trials)
     logp_grid = _log_table(model, grid)
-    estimates, variances, gs = np.empty((3, trials))
-    for t, row in enumerate(counts):
-        post = _normalised_posterior(grid, logp_grid @ row)
-        if t == 0:
-            first = post
-        estimates[t], variances[t] = _moments(post.grid, post.density)
-        gs[t] = 1.0 / bayes_variance_bound(post)
+    estimates, variances, bounds = np.empty((3, len(counts)))
+    for start in range(0, len(counts), _BAYES_BLOCK):
+        block = slice(start, start + _BAYES_BLOCK)
+        density, failures = _normalised(grid, _log_likelihoods(logp_grid, counts[block]))
+        estimates[block], variances[block], bounds[block], more = _variance_bounds(grid,
+                                                                                   density)
+        _raise_first(failures + more)
+        if start == 0:
+            first = PosteriorDistribution(grid=grid, density=density[0])
     return BayesReport(theta_true=float(theta_true), m=int(m), seed=int(seed),
                        estimates=estimates, posterior_variances=variances,
-                       g_values=gs, crlb=_crlb(model, theta_true, m), first_posterior=first)
+                       g_values=1.0 / bounds, crlb=_crlb(model, theta_true, m),
+                       first_posterior=first)
 
 
 @dataclass(frozen=True)
@@ -551,7 +638,7 @@ def _moments_refine(model, c, counts, domain):
         p, dp = model._tables(x, 1)
         return sign * _vecdot(p, c) - target[rows], sign * _vecdot(dp, c)
 
-    est = _newton(residual, est, a, b, MOMENTS_TOL, MOMENTS_TOL)
+    est = _newton(residual, est, a, b, MOMENTS_TOL, MOMENTS_TOL, model.n_outcomes)
     var, slope = moment_statistics(c, *model._tables(est, 1))
     if np.any(np.abs(slope) < 1e-15):
         raise DomainError("d<M>/dphi vanishes at the estimate")
@@ -581,7 +668,7 @@ def moments_monte_carlo(model: ProbabilityModel, observable: np.ndarray,
     """Moment estimates of every trial at once; the report's CRLB slot holds
     the error-propagation prediction evaluated at the true phase, and
     `variance_predictions` the prediction at each trial's estimate."""
-    counts = _count_matrix(model, theta_true, m, trials, seed)
+    counts = sample(model, theta_true, m, seed, trials=trials)
     c = povm_diagonal_coefficients(model.povm, observable)
     estimates, predictions = _moments_refine(model, c, counts, domain)
     var, slope = moment_statistics(c, *model._tables([theta_true], 1)[:, 0])

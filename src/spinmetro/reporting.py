@@ -70,6 +70,8 @@ def json_safe(value):
     if isinstance(value, (list, tuple)):
         return [json_safe(v) for v in value]
     if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f" and np.isfinite(value).all():
+            return value.tolist()  # what the element-wise path gives, in one call
         return [json_safe(v) for v in value.tolist()]
     if isinstance(value, (np.integer,)):
         return int(value)

@@ -3,11 +3,13 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from spinmetro import __version__, cli
 from spinmetro.cli import (EXIT_CONFIG, EXIT_OK, EXIT_STATISTICAL, N_MAX,
                            RunConfig, build_parser, config_from_args, main, run)
+from spinmetro.reporting import json_safe
 from spinmetro.spins import SpinSpace
 from spinmetro.states import state_to_json, twin_fock
 
@@ -275,6 +277,15 @@ class TestParser:
         assert exit_info.value.code == 0
         assert capsys.readouterr().out.strip() == __version__
 
+    def test_mix_spec_is_not_a_probe_flag(self, capsys):
+        # a mixture needs its components, which only a --config file can give
+        with pytest.raises(SystemExit) as exit_info:
+            main(["qfi", "--n", "4", "--probe", "mix-spec"])
+        assert exit_info.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "invalid choice: 'mix-spec'" in err
+        assert "'fock', 'css', 'noon', 'twin-fock', 'ghz'" in err
+
 
 class TestValidation:
     def test_bad_n_exits_2(self, tmp_path):
@@ -367,6 +378,27 @@ class TestRequirements:
         lines = capsys.readouterr().err.strip().splitlines()
         flag = "--" + missing.replace("_", "-")
         assert len(lines) == 1 and lines[0].startswith(f"error: {command} needs {flag}"), lines
+
+
+    def test_bayes_flat_prior_needs_no_theta(self, capsys):
+        assert main(["bayes", "--m", "0", "--domain", "0:1.5"]) == EXIT_OK
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["prior"] == "flat" and results["m"] == 0
+        assert results["posterior_mean"] == pytest.approx(0.75)
+
+
+@pytest.mark.parametrize("array", [
+    np.array([0.5, -0.0, 1e-300, 2.0**60]),
+    np.array([[0.25, 3.0], [-1.5, 7.0]], dtype=np.float32),
+    np.array([1.0, np.nan, 2.0]),
+    np.array([[np.inf, 1.0], [-np.inf, np.nan]]),
+    np.arange(-2, 3),
+    np.array([[True, False]]),
+], ids=["finite", "float32-2d", "nan", "inf-2d", "int", "bool"])
+def test_json_safe_array_matches_the_element_wise_path(array):
+    got, want = json_safe(array), [json_safe(v) for v in array.tolist()]
+    assert got == want
+    assert json.dumps(got) == json.dumps(want)
 
 
 def test_every_parser_dest_is_a_config_field():

@@ -1,17 +1,20 @@
 """The batched trial engine against the single-sample estimators.
 
-Each Monte-Carlo harness draws one count matrix (row t from Philox stream t)
-and refines every trial at once; trial t must agree with the single-sample
-estimator run on `sample(..., stream=t)`, with an independent scalar search
-run one trial at a time (golden section for the MLE, bisection for the
-moments, where the engine runs safeguarded Newton), and with the closed-form
-estimates of the coherent probe.
+Each Monte-Carlo harness draws one count matrix in one `sample(...,
+trials=T)` call (row t from Philox stream t) and refines every trial at
+once; trial t must agree with the single-sample estimator run on
+`sample(..., stream=t)`, with an independent scalar search run one trial at
+a time (golden section for the MLE, bisection for the moments, where the
+engine runs safeguarded Newton), and with the closed-form estimates of the
+coherent probe.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spinmetro import estimation
 from spinmetro.estimation import (BorderSupportError, MomentOutOfRangeError,
@@ -195,6 +198,29 @@ def test_later_trial_border_support_still_raises(ramsey):
         bayes_monte_carlo(ramsey, 0.6, 100, 4, 1, domain=domain)
 
 
+@pytest.mark.parametrize("underflow_row, raised", [
+    (3, BorderSupportError),  # trial 1's border check comes first, trial by trial
+    (0, StatisticalFailure),  # trial 0 underflows before trial 1 is looked at
+])
+def test_block_raises_for_its_first_failing_trial(ramsey, monkeypatch, underflow_row,
+                                                  raised):
+    # seed 1 on this domain: trial 1 fails the border check (the test above); one
+    # more trial's log-posterior is -inf everywhere, so it cannot be normalised
+    original = estimation._log_likelihoods
+
+    def underflowing(logp_grid, counts):
+        logpost = original(logp_grid, counts)
+        logpost[underflow_row] = -np.inf
+        return logpost
+
+    monkeypatch.setattr(estimation, "_log_likelihoods", underflowing)
+    with pytest.raises(StatisticalFailure) as info:
+        bayes_monte_carlo(ramsey, 0.6, 100, 4, 1, domain=(0.47, 1.2))
+    assert type(info.value) is raised
+    if raised is StatisticalFailure:
+        assert str(info.value) == "posterior underflowed to zero everywhere"
+
+
 @pytest.fixture
 def table_calls(monkeypatch):
     """Rows of every amplitude-kernel pass: each probability or derivative table,
@@ -238,16 +264,20 @@ def test_harness_samples_every_trial_from_one_table_row(harness, ramsey, table_c
     original = estimation.sample
 
     def counting(*args, **kwargs):
-        sample_calls.append(args)
-        return original(*args, **kwargs)
+        result = original(*args, **kwargs)
+        sample_calls.append((args, kwargs, result))
+        return result
 
     monkeypatch.setattr(estimation, "sample", counting)
     per_run = []
     for trials in (20, 200):
         del table_calls[:], sample_calls[:]
         HARNESSES[harness](ramsey, trials)
-        assert len(sample_calls) == trials
         per_run.append(len(table_calls))
+        ((args, kwargs, counts),) = sample_calls
+        assert kwargs == {"trials": trials} and counts.shape == (trials, ramsey.n_outcomes)
+        for t in range(trials):
+            assert np.array_equal(counts[t], original(*args, stream=t).counts())
     # both runs are one block: at most 5 fixed passes (P at theta_true for the draws,
     # the grid, P and dP there for the bound, the final moment pass), plus Newton
     # steps whose number depends on the data but never exceeds their cap
@@ -257,7 +287,7 @@ def test_harness_samples_every_trial_from_one_table_row(harness, ramsey, table_c
 def test_refinements_evaluate_few_kernel_rows_per_trial(ramsey, table_calls):
     # a linearly converging search (golden section, bisection) needs 25 and 43 rows here
     trials = 1000
-    counts = estimation._count_matrix(ramsey, 0.6, 100, trials, 5)
+    counts = sample(ramsey, 0.6, 100, 5, trials=trials)
     del table_calls[:]
     estimation._mle_refine(ramsey, counts, (0.0, 1.5))
     assert (sum(table_calls) - estimation.MLE_GRID) / trials <= 8
@@ -276,7 +306,7 @@ def test_estimates_match_coherent_closed_form(n):
                              povm_number_counting(space))
     domain, m, trials = (-1.5, 1.5), 50, 40
     j = n / 2
-    counts = estimation._count_matrix(model, 0.6, m, trials, SEED)
+    counts = sample(model, 0.6, m, SEED, trials=trials)
     closed = np.arcsin(-(counts @ np.array(model.outcome_labels)) / m / j)
     inside = (closed > domain[0]) & (closed < domain[1])
     assert inside.sum() >= trials - 2
@@ -290,7 +320,7 @@ def test_estimates_match_coherent_closed_form(n):
 def test_newton_keeps_an_exact_zero():
     # value and slope both vanish at x: bisection would move it to the midpoint
     x = estimation._newton(lambda rows, x: ((x - 0.3) ** 3, 3 * (x - 0.3) ** 2),
-                           np.array([0.3]), np.array([0.0]), np.array([1.0]), 0.0, 0.0)
+                           np.array([0.3]), np.array([0.0]), np.array([1.0]), 0.0, 0.0, 1)
     assert x[0] == 0.3
 
 
@@ -302,7 +332,7 @@ def test_newton_takes_a_step_onto_the_bracket_end():
         calls.append(x.size)
         return x - 1.0, np.ones_like(x)
 
-    x = estimation._newton(g, np.array([0.0]), np.array([0.0]), np.array([1.0]), 0.0, 0.0)
+    x = estimation._newton(g, np.array([0.0]), np.array([0.0]), np.array([1.0]), 0.0, 0.0, 1)
     assert x[0] == 1.0 and len(calls) == 2
 
 
@@ -315,7 +345,7 @@ def test_newton_names_the_trials_it_cannot_converge():
 
     with pytest.raises(StatisticalFailure,
                        match=f"^2 trials did not converge in {estimation._NEWTON_STEPS} "):
-        estimation._newton(g, np.full(3, 0.9), np.zeros(3), np.ones(3), 0.0, 0.0)
+        estimation._newton(g, np.full(3, 0.9), np.zeros(3), np.ones(3), 0.0, 0.0, 1)
 
 
 @pytest.mark.parametrize("harness", list(HARNESSES))
@@ -334,11 +364,48 @@ def test_harness_keys_one_philox_generator(harness, ramsey, monkeypatch):
         assert len(made) == 1
 
 
-def test_sample_from_a_given_row_matches_its_own_table(ramsey):
-    p_true = ramsey.probabilities(0.6)
-    draws = estimation._TrialDraws(p_true, 8)
-    for stream in (0, 3):
-        own = sample(ramsey, 0.6, 50, 8, stream=stream)
-        given = sample(ramsey, 0.6, 50, 8, stream=stream, draws=draws)
-        assert np.array_equal(own.outcomes, given.outcomes)
-    assert np.array_equal(p_true, ramsey.probabilities(0.6))
+class _FixedModel:
+    """Stands in for a model whose outcome probabilities are `p` at every angle."""
+
+    def __init__(self, p):
+        self.p = np.asarray(p, dtype=float)
+        self.n_outcomes = self.p.size
+
+    def probabilities(self, theta):
+        return self.p.copy()
+
+
+_TENTH = [0.1] * 10
+assert np.cumsum(_TENTH)[-1] < 1.0  # exercises the top-edge guard
+FIXED_P = {
+    "zero outcomes": [0.0, 0.25, 0.0, 0.0, 0.75, 0.0],
+    "point mass": [0.0, 0.0, 1.0, 0.0],
+    "cdf below 1": _TENTH,
+    "tiny edges": [1e-300, 1e-17, 0.5, 0.5 - 1e-17],
+}
+
+
+@given(case=st.sampled_from(sorted(FIXED_P) + ["ramsey"]),
+       seed=st.integers(0, 2**64 - 1), m=st.integers(1, 500),
+       trials=st.integers(1, 2 * estimation._DRAW_ROWS + 1),
+       high=st.booleans(), data=st.data())
+def test_count_matrix_rows_match_single_stream_samples(case, seed, m, trials, high, data):
+    # one batch of `trials` streams against one `sample` per stream, over more than
+    # one block of _DRAW_ROWS trials, from stream 0 or from near the top stream
+    if case == "ramsey":
+        space = SpinSpace(20)
+        model = ProbabilityModel(coherent_spin(space, math.pi / 2), "y",
+                                 povm_number_counting(space))
+    else:
+        model = _FixedModel(FIXED_P[case])
+    first = data.draw(st.integers(2**128 - 2 * trials, 2**128 - trials)) if high else 0
+    counts = sample(model, 0.6, m, seed, first, trials=trials)
+    assert counts.shape == (trials, model.n_outcomes)
+    for t in range(trials):
+        assert np.array_equal(counts[t], sample(model, 0.6, m, seed, first + t).counts())
+
+
+def test_count_matrix_checks_its_last_stream(ramsey):
+    sample(ramsey, 0.6, 10, 3, 2**128 - 2, trials=2)
+    with pytest.raises(ValueError, match="last stream must be in"):
+        sample(ramsey, 0.6, 10, 3, 2**128 - 2, trials=3)
