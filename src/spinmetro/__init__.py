@@ -28,8 +28,8 @@ from .fisher import (EigenvalueCrossingError, FisherReport, Povm,
                      fisher_scan, optimal_axis, povm_number_counting,
                      povm_probe_projection, qfi, qfi_family, qfi_mixed,
                      qfi_pure, qfi_unitary, sld, spin_moments)
-from .linalg import (SpectralDecomposition, eig_hermitian, expm_generator,
-                     max_eig_sym3)
+from .linalg import (NumericalError, SpectralDecomposition, eig_hermitian,
+                     expm_generator, max_eig_sym3)
 from .reporting import write_posterior_csv, write_trials_csv
 from .spins import (ReducedAccuracyWarning, SpinAxis, SpinSpace,
                     beam_splitter, casimir, mach_zehnder, op_j, op_jx,

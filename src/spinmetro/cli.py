@@ -4,7 +4,7 @@ Configuration comes from an optional JSON file (--config) with flag
 overrides; every run echoes its resolved configuration inside the emitted
 JSON report so experiments are reproducible records.  All angles are in
 radians.  Exit codes: 0 success, 2 configuration/domain error, 3
-statistical-run failure.
+statistical-run failure, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .fisher import fisher_information  # noqa: F401  (perfbench/test_perfbench.
 from .fisher import (ProbabilityModel, bound_heisenberg, bound_shot_noise,
                      fisher_scan, optimal_axis, povm_number_counting,
                      povm_probe_projection, qfi, spin_moments)
+from .linalg import NumericalError
 from .reporting import csv_text, json_safe, posterior_table, trial_table
 from .spins import SpinAxis, SpinSpace
 from .states import (PureState, coherent_spin, fock, ghz_along, mix, noon,
@@ -38,6 +39,7 @@ SCHEMA = "spinmetro-run/1"
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_STATISTICAL = 3
+EXIT_NUMERICAL = 4
 
 #: largest N for which every command has been run to completion
 N_MAX = 4096
@@ -496,6 +498,9 @@ def main(argv=None) -> int:
     except StatisticalFailure as err:
         print(f"statistical failure: {err}", file=sys.stderr)
         return EXIT_STATISTICAL
+    except NumericalError as err:
+        print(f"numerical failure: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -21,6 +21,7 @@ import numpy as np
 
 from .fisher import (P_FLOOR, ProbabilityModel, _vecdot, fisher_information,
                      moment_statistics, povm_diagonal_coefficients)
+from .linalg import NumericalError
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -518,7 +519,7 @@ def _variance_bounds(x: np.ndarray, f: np.ndarray):
              "bound's boundary conditions fail")),
         (g <= 0, lambda r: StatisticalFailure("degenerate posterior: G evaluated to zero")),
         (var < bound * (1.0 - GRID_RTOL) - 1e-15,
-         lambda r: AssertionError(
+         lambda r: NumericalError(
              f"posterior variance {var[r]:.6e} fell below its bound {bound[r]:.6e}; "
              "refine the grid")),
     ]
@@ -530,7 +531,8 @@ def bayes_variance_bound(post: PosteriorDistribution) -> float:
     Requires the posterior to vanish at the domain borders (checked against
     BORDER_TOL relative to the peak).  The derivative is a second-order
     finite difference on the grid; the resulting bound is verified against
-    the posterior variance up to the relative grid tolerance GRID_RTOL.
+    the posterior variance up to the relative grid tolerance GRID_RTOL, and a
+    variance below it raises NumericalError (the grid does not resolve it).
     """
     _, _, (bound,), failures = _variance_bounds(post.grid, post.density[None, :])
     _raise_first(failures)

@@ -20,8 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import above_roundoff, dagger, eig_hermitian, max_abs, max_eig_sym3
-from .spins import SpinAxis, SpinSpace, core_spectrum, op_j, spin_action
+from .linalg import (NumericalError, above_roundoff, dagger, eig_hermitian, max_abs,
+                     max_eig_sym3)
+from .spins import SpinAxis, SpinSpace, core_columns, op_j, spin_action
 from .states import MixedState, PureState, State, mix, spectral_support
 
 #: probabilities at or below this are treated as vanishing
@@ -29,17 +30,18 @@ P_FLOOR = 1e-12
 #: derivative magnitude separating flat vanishing outcomes (excluded from F)
 #: from ones near a zero of P (kept, as (dP)^2/P)
 D_FLOOR = 1e-9
-#: complex elements per phase array of a probability table; its angles run in
-#: blocks of this many divided by the dimension
+#: complex elements of a probability table's largest per-angle array (its phases
+#: over the support, or its amplitudes); its angles run in blocks of this many
+#: divided by that array's length
 _TABLE_BLOCK = 2**19
-#: real and imaginary parts of a probe column below this, sqrt(tiny), are set to 0
-#: at model build, so that the kernel does no arithmetic on subnormal numbers
-_COLUMN_FLOOR = math.sqrt(np.finfo(float).tiny)
+#: unit round-off u = eps / 2: a part of a column W^T y within dim u |y| of zero is
+#: within the rounding bound of its own product
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
-def _angle_blocks(n_angles: int, dim: int):
-    """Slices of `n_angles` angles, _TABLE_BLOCK / dim (at least 1) to a block."""
-    rows = max(1, _TABLE_BLOCK // dim)
+def _angle_blocks(n_angles: int, width: int):
+    """Slices of `n_angles` angles, _TABLE_BLOCK / width (at least 1) to a block."""
+    rows = max(1, _TABLE_BLOCK // width)
     return (slice(start, start + rows) for start in range(0, n_angles, rows))
 
 
@@ -163,22 +165,48 @@ def _times(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
     return basis @ x
 
 
-def _phases(lam: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """(dim, T) phases e^{-i theta lam} for the ascending lam = -j .. j.
+def _phases(lam: np.ndarray, thetas: np.ndarray, mirrored: int) -> np.ndarray:
+    """(len(lam), T) phases e^{-i theta lam} for lam in kernel order (`_kernel_order`),
+    whose first `mirrored` entries are the negatives of its last ones, reversed.
 
-    cos - i sin is evaluated on lam >= 0 only; since lam_k = -lam_{dim-1-k}
-    exactly, the other half is its mirror image conjugated.  With numpy 2.4 on
-    glibc that is bit-identical to np.exp of the imaginary argument, at about
-    half the cost.
+    cos - i sin is evaluated on lam[mirrored:] only; since those negatives are
+    exact, the first rows are the last ones' mirror image conjugated.  With
+    numpy 2.4 on glibc that is bit-identical to np.exp of the imaginary
+    argument, at about half the cost when the support is symmetric.
     """
-    dim = lam.size
-    half = dim // 2
-    arg = np.outer(-lam[half:], thetas)
-    out = np.empty((dim, thetas.size), dtype=complex)
-    np.cos(arg, out=out[half:].real)
-    np.sin(arg, out=out[half:].imag)
-    np.conjugate(out[::-1][:half], out=out[:half])
+    arg = np.outer(-lam[mirrored:], thetas)
+    out = np.empty((lam.size, thetas.size), dtype=complex)
+    np.cos(arg, out=out[mirrored:].real)
+    np.sin(arg, out=out[mirrored:].imag)
+    np.conjugate(out[::-1][:mirrored], out=out[:mirrored])
     return out
+
+
+def _above_rounding(rows: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Set to 0 every real and imaginary part of the complex rows W_b^T v, for a
+    block b of columns of an orthogonal W and each column v of `vectors`, that
+    lies within dim u |v| of zero, the rounding bound of its own product; return
+    the mask of the rows that keep a nonzero part.  A part that survives exceeds
+    dim u |v|, far above sqrt(tiny), so the kernel does no subnormal arithmetic."""
+    parts = rows.view(float)
+    bound = vectors.shape[0] * _UNIT_ROUNDOFF * np.linalg.norm(vectors, axis=0)
+    parts[np.abs(parts) <= np.repeat(bound, 2)] = 0.0
+    return parts.any(axis=1)
+
+
+def _kernel_order(mu: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, int]:
+    """Indices of the supported entries of the ascending mu = -j .. j in kernel
+    order, and how many of them `_phases` mirrors.
+
+    With P the mu > 0 whose -mu is supported too, the order is -P, then the
+    unpaired ones, then P, each ascending; -P is mirrored.  Full support is the
+    ascending order itself.
+    """
+    paired = support & support[::-1]  # mu_{dim-1-k} = -mu_k
+    lower = np.flatnonzero(paired & (mu < 0))
+    upper = np.flatnonzero(paired & (mu > 0))
+    unpaired = np.flatnonzero(support & ~(paired & (mu != 0)))
+    return np.concatenate([lower, unpaired, upper]), lower.size
 
 
 def _column_inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -190,7 +218,7 @@ def _column_inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 class ProbabilityModel:
     """theta -> outcome probability table for (probe, axis, POVM).
 
-    With J_n = V diag(lam) V^dag, V = D W (`core_spectrum`: W real, D a diagonal
+    With J_n = V diag(lam) V^dag, V = D W (`core_columns`: W real, D a diagonal
     phase), rho0 = sum_r p_r |phi_r><phi_r| over its support (one term for a
     pure probe) and the POVM vectors f_j, every table comes from the columns
     x_r(theta) = e^{-i theta lam} V^dag sqrt(p_r) phi_r and their amplitudes
@@ -207,12 +235,19 @@ class ProbabilityModel:
     table, and the phased columns meet it in one real product.  A complement
     outcome I - F F^dag takes the same sums over the residual r = x - G^dag a,
     the part of x outside the span of the rows of G, which are orthonormal; its
-    derivatives are r' = x' - G^dag a' and r'' = x'' - G^dag a''.  The probe columns
-    keep no real or imaginary part below _COLUMN_FLOOR = sqrt(tiny); by
-    Cauchy-Schwarz the parts flushed from one column move an amplitude by less
-    than sqrt(2 tiny dim).  A table over
-    T angles costs O(T R M dim) time for probe rank R and M POVM vectors, and
-    O(M dim) memory: its angles run in blocks (`_angle_blocks`).
+    derivatives are r' = x' - G^dag a' and r'' = x'' - G^dag a''.
+
+    Every sum runs over the support S: the components mu where some probe
+    column, or with a complement outcome some row of G, has a real or imaginary
+    part above the rounding bound dim u |column| of its own product W^T y
+    (`_above_rounding`, u = eps / 2); the parts within it are set to 0.  Only the
+    columns, eigenvalues and columns of G on S are kept.  A parity probe about
+    y populates N/2 + 1 components, NOON about z two, a Dicke state about z one.
+    By Cauchy-Schwarz, with |g_j| <= 1, the parts set to 0 move an amplitude
+    a_{r,j} by at most delta_r = 2 sqrt(2 dim) dim u sqrt(p_r), and its k-th
+    derivative by j^k delta_r: they are noise of that size.  A table over T
+    angles costs O(T R M |S|) time for probe rank R and M POVM vectors, and
+    O(max(M, |S|)) memory per angle: its angles run in blocks (`_angle_blocks`).
     Instances are immutable after construction and safe to share between threads.
     """
 
@@ -224,22 +259,47 @@ class ProbabilityModel:
         self.axis = axis
         self.povm = povm
         self.space = probe.space
-        w, phase = core_spectrum(probe.space, axis)
-        self._lam = probe.space.mu
-        self._minus_i_lam = -1j * self._lam[:, None]
-        # columns V^dag sqrt(p_r) phi_r = W^T D^* sqrt(p_r) phi_r: the probe in the
-        # generator's eigenbasis
+        phase, blocks = core_columns(probe.space, axis)
+        # the probe columns V^dag sqrt(p_r) phi_r = W^T D^* sqrt(p_r) phi_r and G^T =
+        # W^T D F^*, in the generator's eigenbasis, taken block by block of W and
+        # kept on their support, so that W is never held whole
         p, phi = spectral_support(probe)
-        columns = _times(w.T, phase.conj()[:, None] * phi * np.sqrt(p))
-        parts = columns.view(float)
-        parts[np.abs(parts) < _COLUMN_FLOOR] = 0.0
-        self._probe_columns = columns
+        probe_in = phase.conj()[:, None] * phi * np.sqrt(p)
         f = povm.vectors
-        self._povm_basis = w if f is None else _times(w.T, phase[:, None] * f.conj()).T
+        povm_in = None if f is None else phase[:, None] * f.conj()
+        kept = []
+        for index, w in blocks:
+            columns = _times(w.T, probe_in)
+            keep = _above_rounding(columns, probe_in)
+            if f is None:
+                rows = w.T
+            else:
+                rows = _times(w.T, povm_in)
+                populated = _above_rounding(rows, povm_in)
+                if povm.complement:  # the residual x - G^dag a lives where G does too
+                    keep |= populated
+            kept.append((index[keep], columns[keep], rows[keep]))
+        support = np.zeros(probe.space.dim, dtype=bool)
+        support[np.concatenate([index for index, _, _ in kept])] = True
+        self._support, self._mirrored = _kernel_order(probe.space.mu, support)
+        self._lam = probe.space.mu[self._support]
+        self._minus_i_lam = -1j * self._lam[:, None]
+        position = np.empty(probe.space.dim, dtype=np.intp)
+        position[self._support] = np.arange(self._support.size)
+        self._probe_columns = np.empty((self._support.size, p.size), dtype=complex)
+        basis_t = np.empty((self._support.size, probe.space.dim if f is None else f.shape[1]),
+                           dtype=float if f is None else complex)
+        while kept:  # each block's rows are dropped as soon as they are placed
+            index, columns, rows = kept.pop()
+            self._probe_columns[position[index]] = columns
+            basis_t[position[index]] = rows
+        self._povm_basis = basis_t.T
         # G^dag, which maps amplitudes back onto the span of the POVM vectors
         self._span = dagger(self._povm_basis) if povm.complement else None
         listed = self._povm_basis.shape[0]
         self._segments = np.append(povm.starts, listed) if povm.complement else povm.starts
+        # length of the longest per-angle array of a table: its phases or amplitudes
+        self._width = max(self._support.size, listed)
 
     @property
     def outcome_labels(self) -> tuple:
@@ -251,14 +311,14 @@ class ProbabilityModel:
 
     def _tables(self, thetas, order: int = 0) -> np.ndarray:
         """(order + 1, len(thetas), n_outcomes) stack: P, then dP and d2P up to `order`;
-        raises RuntimeError if P does not normalise."""
+        raises NumericalError if P does not normalise."""
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         basis, span = self._povm_basis, self._span
         listed = basis.shape[0]
         out = np.zeros((order + 1, thetas.size, listed + (span is not None)))
-        for angles in _angle_blocks(thetas.size, self.space.dim):
+        for angles in _angle_blocks(thetas.size, self._width):
             block = out[:, angles]
-            phases = _phases(self._lam, thetas[angles])
+            phases = _phases(self._lam, thetas[angles], self._mirrored)
             for column in self._probe_columns.T:
                 x = phases * column[:, None]
                 a, r = [], []  # derivatives of the amplitudes and of the residual
@@ -289,7 +349,7 @@ class ProbabilityModel:
             out[1:] *= 2.0
         worst = np.abs(out[0].sum(axis=1) - 1.0).max()
         if not worst <= 1e-10:  # a NaN angle must raise too
-            raise RuntimeError(f"probabilities do not normalise: defect {worst:.3e}")
+            raise NumericalError(f"probabilities do not normalise: defect {worst:.3e}")
         return out
 
     def probability_table(self, thetas) -> np.ndarray:
@@ -359,13 +419,13 @@ def fisher_scan(model: ProbabilityModel, thetas) -> tuple[np.ndarray, np.ndarray
     there: `fisher_information` over a grid, without a report per angle.
 
     The angles run in the blocks of `_angle_blocks`, one kernel pass each, and every
-    block is reduced to its two rows before the next, so the time is O(T R M dim)
-    and the memory does not grow with the grid length T.
+    block is reduced to its two rows before the next, so the time is O(T R M |S|)
+    over the model's support S and the memory does not grow with the grid length T.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     fi = np.empty(thetas.size)
     flagged = np.empty(thetas.size, dtype=np.intp)
-    for block in _angle_blocks(thetas.size, model.space.dim):
+    for block in _angle_blocks(thetas.size, model._width):
         terms, live, limit = _fisher_terms(*model._tables(thetas[block], 1))
         fi[block] = terms.sum(axis=1)
         flagged[block] = np.count_nonzero(~live, axis=1)

@@ -15,6 +15,13 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 
 
+class NumericalError(RuntimeError):
+    """A computation missed the accuracy its result relies on: an eigensolver that
+    does not converge, a spectrum that misses its eigenvalues, probabilities that
+    do not normalise or a variance below its bound.  Not a configuration error,
+    and not a statistical outcome; the CLI exits 4."""
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
@@ -58,7 +65,7 @@ def eig_hermitian(a: np.ndarray) -> SpectralDecomposition:
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as err:
-        raise RuntimeError(f"Hermitian eigensolver did not converge: {err}") from err
+        raise NumericalError(f"Hermitian eigensolver did not converge: {err}") from err
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, max_abs
+from .linalg import NumericalError, dagger, max_abs
 
 #: largest residual max|T w - mu w| and norm defect |w^T w - 1| accepted for an
 #: eigenvector column w of the core of J_n, relative to max(1, j)
@@ -167,45 +167,70 @@ def op_j(space: SpinSpace, axis) -> np.ndarray:
 
 
 def core_spectrum(space: SpinSpace, axis) -> tuple[np.ndarray, np.ndarray]:
-    """(W, D) with J_n = D T D^dag and T W = W diag(mu), W real orthogonal.
+    """(W, D) with J_n = D T D^dag and T W = W diag(mu), W real orthogonal; W is
+    assembled from the column blocks of `core_columns`, which describes both."""
+    phase, blocks = core_columns(space, axis)
+    w = np.empty((space.dim, space.dim))
+    for index, columns in blocks:
+        w[:, index] = columns
+    return w, phase
 
-    With n = (sin b cos f, sin b sin f, cos b), T = sin b Jx + cos b Jz is a real
-    symmetric tridiagonal core and D = diag(e^{-i f (mu + j)}) (the exact
-    diagonalisation of Feng, Wang, Yang & Jin, PRE 92, 043307 (2015)).  The
-    eigenvalues of T are exactly mu, so no eigenvalue is computed: each column
-    of W comes in O(dim) from a twisted factorisation of T - mu (Parlett &
-    Dhillon, LAA 267 (1997); Dhillon & Parlett, LAA 387 (2004)), and T is read
-    from the ladder coefficients, never formed densely.  Each column is checked
-    for unit norm and a residual max|T w - mu w| within SPECTRUM_TOL * max(1, j);
-    neighbouring eigenvalues are 1 apart, so that residual also bounds the
-    column's distance from the true eigenvector.
-    D is the running product of e^{-i f}, so the ratio of neighbouring entries,
-    which is all J_n sees, keeps round-off accuracy at any N; evaluating
-    e^{-i f mu} directly would lose |f mu| ulps in every entry.
+
+def core_columns(space: SpinSpace, axis):
+    """D of `core_spectrum`, and its W as an iterator of (indices, columns) blocks,
+    which together hold every column once; a caller that keeps a few columns of
+    each block never holds W whole.
+
+    With n = (sin b cos f, sin b sin f, cos b), J_n = D T D^dag, where
+    T = sin b Jx + cos b Jz is a real symmetric tridiagonal core and
+    D = diag(e^{-i f (mu + j)}) (the exact diagonalisation of Feng, Wang, Yang &
+    Jin, PRE 92, 043307 (2015)).  The eigenvalues of T are exactly mu, so no
+    eigenvalue is computed: each column of W comes in O(dim) from a twisted
+    factorisation of T - mu (Parlett & Dhillon, LAA 267 (1997); Dhillon &
+    Parlett, LAA 387 (2004)), and T is read from the ladder coefficients, never
+    formed densely.  Each column is checked for unit norm and a residual
+    max|T w - mu w| within SPECTRUM_TOL * max(1, j), as its block is made, and a
+    column that misses raises NumericalError; neighbouring eigenvalues are 1
+    apart, so that residual also bounds the column's distance from the true
+    eigenvector.  D is the running product of e^{-i f}, so the ratio of
+    neighbouring entries, which is all J_n sees, keeps round-off accuracy at any
+    N; evaluating e^{-i f mu} directly would lose |f mu| ulps in every entry.
     """
     nx, ny, nz = SpinAxis.from_spec(axis).vector
-    diagonal = nz * space.mu
-    ladder = math.hypot(nx, ny) * _half_ladder(space)
-    n, dim = space.n_particles, space.dim
-    step = np.full(dim, np.exp(-1j * math.atan2(ny, nx)))
+    step = np.full(space.dim, np.exp(-1j * math.atan2(ny, nx)))
     step[0] = 1.0
-    if not ladder.any():  # n = +-z: T = +-Jz is diagonal already
-        return (np.eye(dim) if nz > 0 else np.eye(dim)[::-1].copy()), np.cumprod(step)
-    w = np.empty((dim, dim))
-    # T is mapped to -T by the signed reversal (S z)_k = (-1)^k z_{N-k}, exactly
-    # in floating point, so S takes the eigenvector of mu to that of -mu
-    half = n // 2 + 1
+    return np.cumprod(step), _core_blocks(space, nz, math.hypot(nx, ny))
+
+
+def _core_blocks(space: SpinSpace, nz: float, sin_b: float):
+    """The (indices, columns) blocks of `core_columns` for the core
+    T = sin_b Jx + nz Jz, _SPECTRUM_BLOCK elements or fewer to a block."""
+    n, dim = space.n_particles, space.dim
+    diagonal, ladder = nz * space.mu, sin_b * _half_ladder(space)
     cols = max(1, _SPECTRUM_BLOCK // dim)
+    if not ladder.any():  # n = +-z: T = +-Jz is diagonal already, W = I or its reversal
+        for start in range(0, dim, cols):
+            index = np.arange(start, min(start + cols, dim))
+            block = np.zeros((dim, index.size))
+            block[index if nz > 0 else n - index, np.arange(index.size)] = 1.0
+            yield index, block
+        return
+    # T is mapped to -T by the signed reversal (S z)_k = (-1)^k z_{N-k}, exactly
+    # in floating point, so S takes the eigenvector of mu to that of -mu: the
+    # columns of the first `half` eigenvalues give all the others
+    half = n // 2 + 1
+    sign = np.where(np.arange(dim) % 2, -1.0, 1.0)[:, None]
     for start in range(0, half, cols):
-        stop = min(start + cols, half)
+        index = np.arange(start, min(start + cols, half))
+        block = np.empty((dim, index.size))
         with np.errstate(all="ignore"):  # a failed column turns into NaN, caught below
-            defect = _twisted_eigenvectors(diagonal, ladder, space.mu[start:stop],
-                                           w[:, start:stop])
+            defect = _twisted_eigenvectors(diagonal, ladder, space.mu[index], block)
         if not defect <= SPECTRUM_TOL * max(1.0, space.j):  # NaN-proof
-            raise RuntimeError(f"eigenvectors of J_n miss mu = -j .. j: residual {defect:.3e}")
-    sign = np.where(np.arange(dim) % 2, -1.0, 1.0)
-    np.multiply(sign[:, None], w[::-1, n - half::-1], out=w[:, half:])
-    return w, np.cumprod(step)
+            raise NumericalError(f"eigenvectors of J_n miss mu = -j .. j: residual {defect:.3e}")
+        yield index, block
+        mirrored = index[index <= n - half]
+        if mirrored.size:
+            yield n - mirrored, sign * block[::-1, :mirrored.size]
 
 
 def _twisted_eigenvectors(diagonal, ladder, lam, out) -> float:

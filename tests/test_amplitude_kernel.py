@@ -6,10 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spinmetro import fisher
 from spinmetro.fisher import (Povm, ProbabilityModel, fisher_information,
                               povm_diagonal_coefficients, povm_number_counting,
                               povm_probe_projection, qfi)
-from spinmetro.linalg import dagger, max_abs
+from spinmetro.linalg import NumericalError, dagger, max_abs
 from spinmetro.spins import SpinAxis, SpinSpace, op_j, op_jx, op_jz, rotation
 from spinmetro.states import (MixedState, PureState, coherent_spin, fock, mix,
                               noon, twin_fock)
@@ -97,7 +98,7 @@ def test_nan_angle_raises_instead_of_returning_nan_rows(order):
     # would make fisher_information(model, nan) return F = 0
     space = SpinSpace(4)
     model = ProbabilityModel(twin_fock(space), "y", povm_number_counting(space))
-    with pytest.raises(RuntimeError, match="do not normalise"):
+    with pytest.raises(NumericalError, match="do not normalise"):
         model._tables([0.3, math.nan], order)
 
 
@@ -227,6 +228,24 @@ def test_counting_model_build_at_n4096_fits_256_mib():
     assert peak < 256 * 2**20
 
 
+def test_models_at_n4096_never_hold_the_eigenvectors_whole():
+    # W takes 128 MiB at N = 4096; the model keeps only its columns on the support
+    # (655 of 4097 for css about y, 20 MiB), taken block by block as W is made
+    space = SpinSpace(4096)
+    noon_probe = noon(space)
+    for probe, axis, povm, held_mib, peak_mib in (
+            (coherent_spin(space, math.pi / 2), "y", povm_number_counting(space), 24, 112),
+            (noon_probe, "z", povm_probe_projection(noon_probe), 1, 24)):
+        tracemalloc.start()
+        try:
+            model = ProbabilityModel(probe, axis, povm)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < held_mib * 2**20 and peak < peak_mib * 2**20
+        del model
+
+
 def test_projection_and_mixture_models_at_n4096_form_no_dense_complex_matrix():
     # a complex (N+1)^2 array takes 256 MiB; the real eigenvectors W of a
     # rotation about y take 128 MiB, and about z they are the identity
@@ -292,6 +311,100 @@ class TestLargeN:
         model = ProbabilityModel(probe, "z", povm_probe_projection(probe))
         for theta in (0.3 * math.pi / n, 0.77 * math.pi / n):
             assert fisher_information(model, theta).fi == pytest.approx(n * n, rel=1e-8)
+
+
+def _kernel_case(kind, n):
+    space = SpinSpace(n)
+    counting = povm_number_counting(space)
+    if kind == "noon-projection-z":
+        return ProbabilityModel(noon(space), "z", povm_probe_projection(noon(space)))
+    if kind == "dicke-z":
+        return ProbabilityModel(fock(space, space.mu[n // 3]), "z", counting)
+    if kind == "twin-fock-y":
+        return ProbabilityModel(twin_fock(space), "y", counting)
+    if kind == "noon-y":
+        return ProbabilityModel(noon(space), "y", counting)
+    if kind == "css-y":
+        return ProbabilityModel(coherent_spin(space, math.pi / 2), "y", counting)
+    return ProbabilityModel(coherent_spin(space, math.pi / 2), OBLIQUE, counting)
+
+
+OBLIQUE = (0.3, -0.5, 0.8)
+
+
+@pytest.mark.parametrize("kind, n, size", [
+    ("noon-projection-z", 20, 2), ("noon-projection-z", 1000, 2),
+    ("dicke-z", 20, 1), ("dicke-z", 1001, 1),
+    # a parity probe about y populates every other J_y eigenstate
+    ("twin-fock-y", 20, 11), ("twin-fock-y", 100, 51), ("twin-fock-y", 1000, 501),
+    ("noon-y", 20, 11),
+    # NOON's amplitudes about y are binomial, sqrt(C(N, k) / 2^N) on one parity: at
+    # N = 100 the two outermost, 2^-49.5 ~ 1.3e-15, lie below the rounding bound
+    # dim u = 1.1e-14 of W^T y
+    ("noon-y", 100, 49),
+    ("css-y", 20, 21),
+])
+def test_support_has_the_structural_size(kind, n, size):
+    model = _kernel_case(kind, n)
+    assert model._support.size == model._lam.size == model._probe_columns.shape[0] == size
+    assert model._povm_basis.shape[1] == size
+    # kernel order: -P, the unpaired entries, then P, so the first `mirrored` phases
+    # are the last ones' mirror image
+    lam, mirrored = model._lam, model._mirrored
+    assert np.array_equal(lam[:mirrored], -lam[::-1][:mirrored])
+    assert np.array_equal(model.space.mu[model._support], lam)
+    if size == model.space.dim:
+        assert np.array_equal(model._support, np.arange(size))
+
+
+def _binomial_tables(n, axis, thetas):
+    """P and dP/dtheta of counting on the x-polarised coherent state rotated about
+    `axis`: binomial in q = (1 + z)/2, z the Bloch vector's z after the rotation."""
+    v, axis = np.array([1.0, 0.0, 0.0]), SpinAxis.from_spec(axis).as_array()
+    k = np.arange(n + 1)
+    log_comb = np.array([math.log(math.comb(n, int(i))) for i in k])
+    p_rows, dp_rows = [], []
+    for theta in thetas:
+        c, s = math.cos(theta), math.sin(theta)
+        cross, along = np.cross(axis, v)[2], axis[2] * (axis @ v)
+        z, dz = v[2] * c + cross * s + along * (1 - c), -v[2] * s + cross * c + along * s
+        q = (1 + z) / 2
+        p = np.exp(log_comb + k * math.log(q) + (n - k) * math.log(1 - q))
+        p_rows.append(p)
+        dp_rows.append(p * (k / q - (n - k) / (1 - q)) * dz / 2)
+    return np.array(p_rows), np.array(dp_rows)
+
+
+@pytest.mark.parametrize("n", [1000, 4096])
+@pytest.mark.parametrize("kind", ["css-y", "css-oblique", "noon-projection-z"])
+def test_support_tables_match_closed_forms(monkeypatch, kind, n):
+    """Restricted tables against closed forms: the error is no larger than that of
+    the unrestricted tables (every nonzero part kept) beyond the derived bound of
+    the parts set to 0, and small in absolute terms."""
+    if kind == "noon-projection-z":
+        thetas = np.array([0.3, 0.77, 1.6]) * math.pi / n
+        closed = (np.cos(n * thetas / 2) ** 2, -n / 2 * np.sin(n * thetas))
+    else:
+        thetas = np.array([-1.3, 0.3, 1.1])
+        binomial = _binomial_tables(n, "y" if kind == "css-y" else OBLIQUE, thetas)
+
+    def errors():
+        model = _kernel_case(kind, n)
+        tables = model._tables(thetas, 1)
+        if kind == "noon-projection-z":
+            tables = tables[..., 0]
+            return model._support.size, [max_abs(tables[i] - closed[i]) for i in (0, 1)]
+        return model._support.size, [max_abs(tables[i] - binomial[i]) for i in (0, 1)]
+
+    size, (p_err, dp_err) = errors()
+    monkeypatch.setattr(fisher, "_UNIT_ROUNDOFF", 0.0)
+    full_size, (full_p_err, full_dp_err) = errors()
+    assert size <= full_size  # NOON about z: two components either way
+    dim = n + 1
+    delta = 2 * math.sqrt(2 * dim) * dim * np.finfo(float).eps / 2
+    assert p_err <= full_p_err + 4 * delta * (1 + delta)
+    assert dp_err <= full_dp_err + 8 * (n / 2) * delta * (1 + delta)
+    assert p_err <= 1e-12 and dp_err <= 1e-13 * n
 
 
 @pytest.mark.parametrize("n", [20, 100, 1000])

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from spinmetro import __version__, cli
-from spinmetro.cli import (EXIT_CONFIG, EXIT_OK, EXIT_STATISTICAL, N_MAX,
-                           RunConfig, build_parser, config_from_args, main, run)
+from spinmetro import __version__, cli, fisher, spins
+from spinmetro.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_STATISTICAL,
+                           N_MAX, RunConfig, build_parser, config_from_args, main, run)
 from spinmetro.reporting import json_safe
 from spinmetro.spins import SpinSpace
 from spinmetro.states import state_to_json, twin_fock
@@ -386,6 +386,76 @@ class TestRequirements:
         assert results["prior"] == "flat" and results["m"] == 0
         assert results["posterior_mean"] == pytest.approx(0.75)
 
+
+def _one_numerical_failure_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: "), lines
+    return lines[0]
+
+
+class TestNumericalFailure:
+    """A NumericalError exits 4 with one stderr line, never with a traceback."""
+
+    def test_twin_fock_bayes_at_n1000_never_escapes_main(self, capsys):
+        # the 2048-point posterior grid does not resolve this posterior: its variance
+        # falls below the bound G^-1, which used to escape as an AssertionError
+        code = main(["bayes", "--n", "1000", "--probe", "twin-fock", "--theta", "0.7",
+                     "--m", "100", "--domain", "0:1.5", "--trials", "5", "--seed", "3"])
+        assert code in (EXIT_OK, EXIT_NUMERICAL)
+        if code == EXIT_NUMERICAL:
+            assert "fell below its bound" in _one_numerical_failure_line(capsys)
+
+    def test_spectrum_that_misses_mu_exits_4(self, capsys, monkeypatch):
+        exact = spins._half_ladder
+        monkeypatch.setattr(spins, "_half_ladder", lambda space: exact(space) + 1e-3)
+        assert main(["fisher-scan", "--n", "6", "--theta-grid", "0:1:3"]) == EXIT_NUMERICAL
+        assert "miss mu" in _one_numerical_failure_line(capsys)
+
+    def test_probabilities_that_do_not_normalise_exit_4(self, capsys, monkeypatch):
+        exact = fisher.core_columns
+
+        def stretched(space, axis):  # eigenvectors of norm 1.001
+            phase, blocks = exact(space, axis)
+            return phase, ((index, 1.001 * w) for index, w in blocks)
+        monkeypatch.setattr(fisher, "core_columns", stretched)
+        assert main(["fisher-scan", "--n", "6", "--theta-grid", "0:1:3"]) == EXIT_NUMERICAL
+        assert "do not normalise" in _one_numerical_failure_line(capsys)
+
+    def test_eigensolver_that_does_not_converge_exits_4(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # a mix-spec probe factorises the Gram matrix of its components by eig_hermitian
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        config_file = tmp_path / "mix.json"
+        config_file.write_text(json.dumps({"probe": {"kind": "mix-spec", "components": [
+            {"weight": 0.5, "probe": {"kind": "noon"}},
+            {"weight": 0.5, "probe": {"kind": "twin-fock"}}]}}))
+        assert main(["qfi", "--n", "4", "--config", str(config_file)]) == EXIT_NUMERICAL
+        assert "did not converge" in _one_numerical_failure_line(capsys)
+
+
+def _depth(capsys, *argv) -> int:
+    assert main(["depth", *argv]) == EXIT_OK
+    return json.loads(capsys.readouterr().out)["results"]["depth"]
+
+
+@pytest.mark.parametrize("n", [20, 1000])
+def test_depth_matches_closed_forms(capsys, n):
+    """Depth against the closed forms, not the program's staircase: a coherent state
+    is 1-producible (F_Q = N), NOON needs all N particles (F_Q = N^2 about z), and
+    twin-Fock (F_Q = N^2/2 + N about y) needs the smallest k whose k-producible
+    ceiling s k^2 + r^2, with N = s k + r, reaches N^2/2 + N: 14 at N = 20, 523 at
+    N = 1000."""
+    assert _depth(capsys, "--n", str(n), "--probe", "css", "--axis", "y") == 1
+    assert _depth(capsys, "--n", str(n), "--probe", "noon", "--axis", "z") == n
+    twin_fock_depth = next(k for k in range(1, n + 1)
+                           if (n // k) * k * k + (n % k) ** 2 >= n * n / 2 + n)
+    assert twin_fock_depth == {20: 14, 1000: 523}[n]
+    assert _depth(capsys, "--n", str(n), "--probe", "twin-fock", "--axis", "y") == \
+        twin_fock_depth
 
 @pytest.mark.parametrize("array", [
     np.array([0.5, -0.0, 1e-300, 2.0**60]),

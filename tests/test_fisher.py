@@ -11,7 +11,7 @@ from spinmetro.fisher import (EigenvalueCrossingError, Povm, ProbabilityModel,
                               fisher_scan, optimal_axis, povm_number_counting,
                               povm_probe_projection, qfi_family,
                               qfi_mixed, qfi_pure, qfi_unitary, sld)
-from spinmetro.linalg import dagger, expm_generator, max_abs
+from spinmetro.linalg import NumericalError, dagger, expm_generator, max_abs
 from spinmetro.spins import SpinAxis, SpinSpace, op_j, op_jx, op_jz
 from spinmetro.states import (MixedState, PureState, coherent_spin, fock,
                               mix, noon, spin_polarized, twin_fock)
@@ -209,18 +209,27 @@ def _tiny_numbers(a):
 
 def test_probe_columns_keep_no_tiny_numbers(monkeypatch):
     # NOON projection about an oblique axis at N = 1000: W^T applied to the probe
-    # leaves 253 numbers below sqrt(tiny), 20 of them subnormal, in its one column
+    # leaves 253 numbers below sqrt(tiny), 20 of them subnormal, in its one column.
+    # Each lies within the rounding bound dim u of its own product, so the model sets
+    # it to 0, with every other such part, and keeps only the components left nonzero
     space = SpinSpace(1000)
     axis = (0.3, -0.5, 0.8)
     probe = noon(space)
     model = ProbabilityModel(probe, axis, povm_probe_projection(probe))
     assert _tiny_numbers(model._probe_columns) == 0
-    monkeypatch.setattr(fisher, "_COLUMN_FLOOR", 0.0)
+    monkeypatch.setattr(fisher, "_UNIT_ROUNDOFF", 0.0)  # keeps every nonzero part
     kept = ProbabilityModel(probe, axis, povm_probe_projection(probe))
     assert _tiny_numbers(kept._probe_columns) == 253
+    assert kept._support.size == space.dim > 2 * model._support.size
     thetas = np.linspace(0.0, 1.4, 9)
-    # the bound sqrt(2 tiny dim) is 7e-153
-    assert max_abs(model._tables(thetas, 1) - kept._tables(thetas, 1)) <= 1e-150
+    # the derived bound: the parts set to 0 in the column and in the row g of G move
+    # the amplitude g x by delta = 2 sqrt(2 dim) dim u and the residual x - g^dag g x by
+    # 2 delta, and their derivatives by j times that; so P (|a|^2 and the residual's
+    # norm) moves by at most 4 delta (1 + delta) and dP by 8 j delta (1 + delta)
+    delta = 2 * math.sqrt(2 * space.dim) * space.dim * np.finfo(float).eps / 2
+    restricted, unrestricted = model._tables(thetas, 1), kept._tables(thetas, 1)
+    assert max_abs(restricted[0] - unrestricted[0]) <= 4 * delta * (1 + delta)
+    assert max_abs(restricted[1] - unrestricted[1]) <= 8 * space.j * delta * (1 + delta)
 
 
 def _scan_model(kind, n):
@@ -268,11 +277,28 @@ class TestFisherScan:
         model = _scan_model("twin-fock", 20)
         thetas = np.linspace(0.0, 1.4, 23)
         whole = fisher_scan(model, thetas)
-        # 21 * 3 elements per block: 3 angles, so the grid spans 8 blocks, the last short
+        # 21 * 3 elements per block: 3 angles, so the grid spans 8 blocks, the last short;
+        # the 21 amplitudes per angle outnumber the 11 components of the support
         monkeypatch.setattr(fisher, "_TABLE_BLOCK", 3 * model.space.dim)
+        assert model._support.size == 11
+        assert len(list(fisher._angle_blocks(thetas.size, model._width))) == 8
         blocked = fisher_scan(model, thetas)
         _assert_scan_matches_reports(model, thetas)
         np.testing.assert_allclose(blocked[0], whole[0], rtol=1e-12, atol=1e-12 * 20**2)
+        assert np.array_equal(blocked[1], whole[1])
+
+    def test_projection_blocks_are_sized_by_the_support(self, monkeypatch):
+        # one listed amplitude per angle against 41 components of the support
+        space = SpinSpace(40)
+        probe = noon(space)
+        model = ProbabilityModel(probe, (0.3, -0.5, 0.8), povm_probe_projection(probe))
+        assert model._width == model._support.size == space.dim
+        thetas = np.linspace(0.0, 1.4, 11)
+        whole = fisher_scan(model, thetas)
+        monkeypatch.setattr(fisher, "_TABLE_BLOCK", 3 * space.dim)
+        assert len(list(fisher._angle_blocks(thetas.size, model._width))) == 4
+        blocked = fisher_scan(model, thetas)
+        np.testing.assert_allclose(blocked[0], whole[0], rtol=1e-12, atol=1e-12 * 40**2)
         assert np.array_equal(blocked[1], whole[1])
 
     def test_memory_does_not_grow_with_the_grid(self, monkeypatch):
@@ -281,6 +307,7 @@ class TestFisherScan:
         peaks = []
         for points in (64, 640):  # one block, ten blocks
             thetas = np.linspace(0.05, 1.45, points)
+            assert len(list(fisher._angle_blocks(points, model._width))) == points // 64
             tracemalloc.start()
             try:
                 fisher_scan(model, thetas)
@@ -295,9 +322,9 @@ class TestFisherScan:
 
     def test_nan_angle_raises_like_a_single_theta(self):
         model = _scan_model("css", 10)
-        with pytest.raises(RuntimeError, match="normalise"):
+        with pytest.raises(NumericalError, match="normalise"):
             fisher_information(model, math.nan)
-        with pytest.raises(RuntimeError, match="normalise"):
+        with pytest.raises(NumericalError, match="normalise"):
             fisher_scan(model, [0.1, math.nan, 0.5])
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinmetro import spins
-from spinmetro.linalg import dagger, max_abs
+from spinmetro.linalg import NumericalError, dagger, max_abs
 from spinmetro.spins import (SPECTRUM_TOL, ReducedAccuracyWarning, SpinAxis,
                              SpinSpace, beam_splitter, casimir, core_spectrum,
                              mach_zehnder, op_j, op_jx, op_jy, op_jz, op_ladder_plus,
@@ -167,9 +167,9 @@ class TestJSpectrum:
         # ladder coefficients 1e-3 too large move the spectrum of the core off mu
         exact = spins._half_ladder
         monkeypatch.setattr(spins, "_half_ladder", lambda space: exact(space) + 1e-3)
-        with pytest.raises(RuntimeError, match="miss mu"):
+        with pytest.raises(NumericalError, match="miss mu"):
             core_spectrum(SpinSpace(6), "y")
-        with pytest.raises(RuntimeError, match="miss mu"):
+        with pytest.raises(NumericalError, match="miss mu"):
             rotation(SpinSpace(6), "x", 0.3)
 
 
