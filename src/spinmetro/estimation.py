@@ -151,9 +151,13 @@ class OutcomeSample:
         return self._counts
 
 
-#: trials per block of the batched count: the r * 2**53 key shifts stay below 2**63
-_DRAW_ROWS = 256
-#: draws per block of the batched count, bounding its buffer for large m
+#: trials per block of the batched count, the MLE grid stage and Newton's steps, at
+#: every N (any block <= 1024 keeps the count's r * 2**53 key shifts below 2**63).
+#: On 2 cores an order-2 pass over 1000 angles at N = 20 took 2.0 ms whole and
+#: 1.2-1.5 ms in blocks of 256 or 390
+_TRIAL_BLOCK = 256
+#: draws per block of the batched count: counting 256 trials of m = 10**5 peaked at
+#: 2.3 MiB with it and at 391 MiB as one block
 _DRAW_BLOCK = 2**17
 #: a double from `Generator.random` is k / 2**53 for an integer 0 <= k < 2**53
 _KEY_SCALE = 2.0**53
@@ -170,7 +174,7 @@ def _count_draws(streams: _PhiloxStreams, cdf: np.ndarray, m: int, first: int,
     rows of a block apart, so one search serves the block.
     """
     edges = np.minimum(np.ceil(cdf * _KEY_SCALE), _KEY_SCALE).astype(np.int64)
-    rows = min(trials, _DRAW_ROWS, max(1, _DRAW_BLOCK // m))
+    rows = min(trials, _TRIAL_BLOCK, max(1, _DRAW_BLOCK // m))
     draws = np.empty((rows, m))
     keys = draws.view(np.int64)  # each row's keys overwrite its draws
     shift = np.arange(rows, dtype=np.int64)[:, None] << 53
@@ -232,28 +236,21 @@ class MleEstimate:
     boundary: bool
 
 
-#: trials per block of the MLE grid stage, bounding its (block, MLE_GRID) product
-_GRID_BLOCK = 256
 #: Newton steps per block before a refinement gives up (bisection alone needs far fewer)
 _NEWTON_STEPS = 64
-#: trial-outcome cells per block of Newton's steps: a step's second-order kernel pass
-#: keeps about 130 bytes per cell, so a block's scratch stays near 1 MB
-_NEWTON_BLOCK = 2**13
 
 
-def _newton(g, x, a, b, step_tol, width_tol, n_outcomes):
+def _newton(g, x, a, b, step_tol, width_tol):
     """Row-wise roots of increasing functions in brackets [a, b], from x, in place.
 
     `g(rows, x)` gives the values and slopes of the functions `rows` at x;
-    each call covers the open rows of one block of _NEWTON_BLOCK //
-    n_outcomes rows.  Each value's sign moves its bracket to x and an exact
-    zero keeps x; a step outside the bracket (inclusive) or a slope <= 0
-    bisects it.  A row stops once its step is <= step_tol or its bracket
-    <= width_tol.
+    each call covers the open rows of one block of _TRIAL_BLOCK rows.  Each
+    value's sign moves its bracket to x and an exact zero keeps x; a step
+    outside the bracket (inclusive) or a slope <= 0 bisects it.  A row stops
+    once its step is <= step_tol or its bracket <= width_tol.
     """
-    block = max(1, _NEWTON_BLOCK // n_outcomes)
-    for start in range(0, x.size, block):
-        rows = np.arange(start, min(start + block, x.size))
+    for start in range(0, x.size, _TRIAL_BLOCK):
+        rows = np.arange(start, min(start + _TRIAL_BLOCK, x.size))
         for _ in range(_NEWTON_STEPS):
             xr = x[rows]
             val, slope = g(rows, xr)
@@ -283,8 +280,8 @@ def _mle_refine(model, counts, domain):
     lo, hi = _interval(domain)
     grid = np.linspace(lo, hi, MLE_GRID)
     logp_grid = _log_table(model, grid)
-    best = np.concatenate([np.argmax(counts[i:i + _GRID_BLOCK] @ logp_grid.T, axis=1)
-                           for i in range(0, len(counts), _GRID_BLOCK)])
+    best = np.concatenate([np.argmax(counts[i:i + _TRIAL_BLOCK] @ logp_grid.T, axis=1)
+                           for i in range(0, len(counts), _TRIAL_BLOCK)])
 
     def minus_score(rows, x):
         p, dp, d2p = model._tables(x, 2)
@@ -293,8 +290,7 @@ def _mle_refine(model, counts, domain):
         return -_vecdot(ratio, n), _vecdot(ratio ** 2 - d2p * inv, n)
 
     est = _newton(minus_score, grid[best], grid[np.maximum(best - 1, 0)],
-                  grid[np.minimum(best + 1, MLE_GRID - 1)], 1e-10, MLE_TOL,
-                  model.n_outcomes)
+                  grid[np.minimum(best + 1, MLE_GRID - 1)], 1e-10, MLE_TOL)
     boundary = (est - lo < 2 * MLE_TOL) | (hi - est < 2 * MLE_TOL)
     return est, boundary
 
@@ -399,8 +395,8 @@ class PosteriorDistribution:
         object.__setattr__(self, "density", dens)
 
 
-#: trials per block of the Bayes harness: a (block, BAYES_GRID) array takes 256 KB,
-#: so the handful alive at once stay near 1 MB
+#: trials per block of the Bayes harness, 16 posteriors of BAYES_GRID points: blocks
+#: of 256 raised `mc-small-n` peak RSS by 0.7 MB
 _BAYES_BLOCK = 2**15 // BAYES_GRID
 
 
@@ -626,8 +622,8 @@ def _moments_refine(model, c, counts, domain):
     outside = np.flatnonzero((moments < low) | (moments > high))
     if outside.size:
         raise MomentOutOfRangeError(
-            f"sample moment {moments[outside[0]]:.6g} outside the range "
-            f"[{low:.6g}, {high:.6g}] of <M> over the domain"
+            f"sample moment {moments[outside[0]]:.17g} outside the range "
+            f"[{low:.17g}, {high:.17g}] of <M> over the domain"
         )
     # sign * (<M> - moment) increases; start on the chord of the grid cell holding its root
     sign = 1.0 if increasing else -1.0
@@ -640,7 +636,7 @@ def _moments_refine(model, c, counts, domain):
         p, dp = model._tables(x, 1)
         return sign * _vecdot(p, c) - target[rows], sign * _vecdot(dp, c)
 
-    est = _newton(residual, est, a, b, MOMENTS_TOL, MOMENTS_TOL, model.n_outcomes)
+    est = _newton(residual, est, a, b, MOMENTS_TOL, MOMENTS_TOL)
     var, slope = moment_statistics(c, *model._tables(est, 1))
     if np.any(np.abs(slope) < 1e-15):
         raise DomainError("d<M>/dphi vanishes at the estimate")

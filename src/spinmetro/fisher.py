@@ -49,7 +49,7 @@ def _angle_blocks(n_angles: int, width: int):
 _vecdot = getattr(np, "vecdot", None) or (lambda a, b: np.einsum("...k,...k->...", a, b))
 
 
-class EigenvalueCrossingError(RuntimeError):
+class EigenvalueCrossingError(NumericalError):
     """Spectral family is not smooth at the requested point and step."""
 
 
@@ -379,7 +379,7 @@ class FisherReport:
 
     def __post_init__(self):
         if abs(self.fi - float(np.sum(self.contributions))) > 1e-10 * max(1.0, abs(self.fi)):
-            raise AssertionError("FI does not match the sum of its contributions")
+            raise ValueError("FI does not match the sum of its contributions")
 
 
 def _fisher_terms(p: np.ndarray, dp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -296,7 +296,7 @@ def casimir(space: SpinSpace) -> float:
     value = space.j * (space.j + 1.0)
     defect = max_abs(diagonal - value)
     if defect > 1e-10:
-        raise AssertionError(
+        raise NumericalError(
             f"Casimir identity violated by {defect:.3e} for N={space.n_particles}"
         )
     return value

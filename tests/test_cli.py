@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -115,6 +116,19 @@ class TestEstimationCommands:
                           "--theta", "0.5", "--domain", "0:1.5", out_name="x.json")
         assert code == EXIT_STATISTICAL
         assert "statistical failure: posterior does not vanish" in capsys.readouterr().err
+
+    def test_moment_out_of_range_prints_round_trip_numbers(self, capsys):
+        # the range's low end is -1 plus round-off: at 6 digits both numbers read -1
+        code = main(["moments", "--n", "2", "--probe", "css", "--theta",
+                     "1.5707963267948966", "--m", "5", "--trials", "3", "--domain",
+                     "0:1.5707963267948966", "--seed", "1"])
+        assert code == EXIT_STATISTICAL
+        (line,) = capsys.readouterr().err.splitlines()
+        match = re.fullmatch(r"statistical failure: sample moment (\S+) outside the range "
+                             r"\[(\S+), (\S+)\] of <M> over the domain", line)
+        moment, low, high = (float(v) for v in match.groups())
+        assert moment == -1.0 and -1.0 < low < -1.0 + 1e-12 and high == 0.0
+        assert match.group(2) == f"{low:.17g}"
 
     def test_bayes_m_zero_emits_prior(self, tmp_path):
         code, text = run_cli(tmp_path, "bayes", "--n", "1", "--probe", "fock",
@@ -435,6 +449,13 @@ class TestNumericalFailure:
             {"weight": 0.5, "probe": {"kind": "twin-fock"}}]}}))
         assert main(["qfi", "--n", "4", "--config", str(config_file)]) == EXIT_NUMERICAL
         assert "did not converge" in _one_numerical_failure_line(capsys)
+
+    def test_eigenvalue_crossing_exits_4(self, capsys, monkeypatch):
+        def crossing(config):
+            raise fisher.EigenvalueCrossingError("eigenvector branches cannot be matched")
+        monkeypatch.setattr(cli, "run", crossing)
+        assert main(["qfi", "--n", "4"]) == EXIT_NUMERICAL
+        assert "branches cannot be matched" in _one_numerical_failure_line(capsys)
 
 
 def _depth(capsys, *argv) -> int:

@@ -177,6 +177,11 @@ class TestFisherInformation:
         rep = fisher_information(model, 0.9)
         assert rep.fi == pytest.approx(float(rep.contributions.sum()), abs=1e-12)
 
+    def test_hand_built_report_that_does_not_sum_raises_value_error(self):
+        with pytest.raises(ValueError, match="does not match the sum"):
+            fisher.FisherReport(theta=0.1, fi=1.0, labels=(0, 1),
+                                contributions=np.array([0.25, 0.25]))
+
     def test_periodicity_under_two_pi(self, rng):
         space = SpinSpace(3)
         model = ProbabilityModel(random_pure(rng, space), "y",
@@ -492,8 +497,9 @@ class TestQfiFamily:
             # fixed eigenvectors, eigenvalues crossing at theta = 0
             return MixedState(space, np.diag([0.3 + theta, 0.3 - theta, 0.4]).astype(complex))
 
-        with pytest.raises(EigenvalueCrossingError):
+        with pytest.raises(EigenvalueCrossingError) as info:
             qfi_family(family, 0.5 * step, step=step)
+        assert isinstance(info.value, NumericalError)
 
 
 class TestBounds:

@@ -85,6 +85,12 @@ class TestCollectiveOperators:
     def test_casimir(self, n, value):
         assert casimir(SpinSpace(n)) == pytest.approx(value, abs=1e-12)
 
+    def test_casimir_defect_raises_numerical_error(self, monkeypatch):
+        exact = spins._half_ladder
+        monkeypatch.setattr(spins, "_half_ladder", lambda space: exact(space) + 1e-3)
+        with pytest.raises(NumericalError, match="Casimir identity violated"):
+            casimir(SpinSpace(6))
+
 
 half_integers = st.integers(min_value=1, max_value=16)
 
