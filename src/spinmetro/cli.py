@@ -319,9 +319,8 @@ def cmd_bayes(config: RunConfig):
 
 def cmd_moments(config: RunConfig):
     model = build_model(config)
-    # J_z, which is diagonal in the Dicke basis, as its diagonal mu
-    report = moments_monte_carlo(model, model.space.mu, config.theta, config.m,
-                                 config.trials, config.seed, domain=config.domain)
+    report = moments_monte_carlo(model, config.theta, config.m, config.trials,
+                                 config.seed, domain=config.domain)
     predictions = report.variance_predictions
     results = {
         "estimator": "moments",
@@ -485,7 +484,10 @@ def run(config: RunConfig) -> str:
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if config.out:
-        Path(config.out).write_text(text, encoding="utf-8", newline="")
+        try:
+            Path(config.out).write_text(text, encoding="utf-8", newline="")
+        except OSError as err:
+            raise ConfigError(f"cannot write {config.out!r}: {err.strerror or err}") from err
     return text
 
 

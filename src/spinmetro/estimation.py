@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fisher import (P_FLOOR, ProbabilityModel, _vecdot, fisher_information,
-                     moment_statistics, povm_diagonal_coefficients)
+                     povm_diagonal_coefficients, spin_moments)
 from .linalg import NumericalError
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -38,9 +38,6 @@ CREDIBLE_MASS = 0.6827
 BORDER_TOL = 1e-8
 #: relative slack of the posterior variance below its bound (grid discretisation)
 GRID_RTOL = 1e-3
-#: method of moments: monotonicity-check grid points, and Newton's stopping step or bracket
-MOMENTS_GRID = 256
-MOMENTS_TOL = 1e-12
 
 
 class StatisticalFailure(RuntimeError):
@@ -597,83 +594,83 @@ class MomentsEstimate:
 
 
 class MomentOutOfRangeError(StatisticalFailure):
-    """The sample moment falls outside the range of <M> over the domain."""
+    """The sample moment falls outside the range of <J_z> over the domain."""
 
 
-def _moments_refine(model, c, counts, domain):
-    """Row-wise moment estimates of a (trials, outcomes) count matrix, and the
-    predicted variances (Delta M)^2 / (m (d<M>/dphi)^2) at them.
+def _jz_moments(model, counts, domain):
+    """Row-wise J_z sample moments of a (trials, outcomes) count matrix, their
+    estimates, and phi -> (Delta J_z)^2 / (d<J_z>/dphi)^2, in closed form.
 
-    Checks once that <M>_phi is strictly monotone on MOMENTS_GRID points of the
-    domain and that every sample moment lies in its range.  Safeguarded Newton
-    with slope dP . c then refines each root from its grid cell until a step
-    or the bracket is <= MOMENTS_TOL.
+    The mean spin rotates rigidly: U^dag J_z U = v . J, v = z - sin(phi) n x z +
+    (1 - cos(phi)) n x (n x z), so <J_z>_phi = v . <J> = a0 + R cos(phi - phi0),
+    (Delta J_z)^2_phi = v^T Sigma v and the slope is -R sin(phi - phi0).  Parts of
+    <J>, and an R, within its rounding bound dim eps j count as 0.
     """
+    c = povm_diagonal_coefficients(model.povm, model.space.mu)
     lo, hi = _interval(domain)
-    m = counts.sum(axis=1)
-    moments = counts @ c / m
-    grid = np.linspace(lo, hi, MOMENTS_GRID)
-    f_grid = model.probability_table(grid) @ c
-    diffs = np.diff(f_grid)
-    increasing = bool(np.all(diffs > 0))
-    if not (increasing or np.all(diffs < 0)):
-        raise DomainError("<M>_phi is not strictly monotone over the domain")
-    low, high = sorted((float(f_grid[0]), float(f_grid[-1])))
+    moments = _vecdot(counts, c) / counts.sum(axis=1)
+    spin = spin_moments(model.probe)
+    bound = model.space.dim * np.finfo(float).eps * model.space.j
+    means = np.where(np.abs(spin.means) > bound, spin.means, 0.0)
+    z = np.array([0.0, 0.0, 1.0])
+    nxz = np.cross(model.axis.as_array(), z)
+    nxnxz = np.cross(model.axis.as_array(), nxz)
+    a0, a_cos, a_sin = (z + nxnxz) @ means, -nxnxz @ means, -nxz @ means
+    r, phi0 = math.hypot(a_cos, a_sin), math.atan2(a_sin, a_cos)
+
+    def v(phi):
+        return z - np.sin(phi)[:, None] * nxz + (1.0 - np.cos(phi))[:, None] * nxnxz
+
+    def spread(phi):
+        rows = v(phi)
+        return _vecdot(rows @ spin.covariance, rows) / (r * np.sin(phi - phi0)) ** 2
+
+    if r <= bound:
+        raise DomainError("<J_z>_phi does not depend on phi: no mean spin turns through z")
+    k = math.floor((0.5 * (lo + hi) - phi0) / math.pi)
+    base = phi0 + k * math.pi
+    if lo < base or base + math.pi < hi:
+        raise DomainError("<J_z>_phi is not strictly monotone over the domain")
+    low, high = sorted(v(np.array([lo, hi])) @ means)
     outside = np.flatnonzero((moments < low) | (moments > high))
     if outside.size:
-        raise MomentOutOfRangeError(
-            f"sample moment {moments[outside[0]]:.17g} outside the range "
-            f"[{low:.17g}, {high:.17g}] of <M> over the domain"
-        )
-    # sign * (<M> - moment) increases; start on the chord of the grid cell holding its root
-    sign = 1.0 if increasing else -1.0
-    f_up, target = sign * f_grid, sign * moments
-    cell = np.clip(f_up.searchsorted(target), 1, MOMENTS_GRID - 1)
-    a, b = grid[cell - 1], grid[cell]
-    est = a + (target - f_up[cell - 1]) / (f_up[cell] - f_up[cell - 1]) * (b - a)
-
-    def residual(rows, x):
-        p, dp = model._tables(x, 1)
-        return sign * _vecdot(p, c) - target[rows], sign * _vecdot(dp, c)
-
-    est = _newton(residual, est, a, b, MOMENTS_TOL, MOMENTS_TOL)
-    var, slope = moment_statistics(c, *model._tables(est, 1))
-    if np.any(np.abs(slope) < 1e-15):
-        raise DomainError("d<M>/dphi vanishes at the estimate")
-    return est, var / (m * slope**2)
+        raise MomentOutOfRangeError(f"sample moment {moments[outside[0]]:.17g} outside the "
+                                    f"range [{low:.17g}, {high:.17g}] of <M> over the domain")
+    # the arccos branch of the domain's half-period; at an extreme value a0 +- R the
+    # slope vanishes, and within the rounding bound of one it is round-off
+    cosine = (-1) ** k * (moments - a0) / r
+    if np.any(1.0 - np.abs(cosine) <= bound / r):
+        raise StatisticalFailure("d<J_z>/dphi vanishes at the estimate, an extreme of <J_z>")
+    return moments, np.clip(base + np.arccos(cosine), lo, hi), spread
 
 
-def method_of_moments(model: ProbabilityModel, observable: np.ndarray, outcomes,
+def method_of_moments(model: ProbabilityModel, outcomes,
                       domain=DEFAULT_DOMAIN) -> MomentsEstimate:
-    """Invert the sample mean of M through f(phi) = <M>_phi (safeguarded Newton).
+    """Invert the sample mean of J_z through f(phi) = <J_z>_phi, in closed form.
 
-    f must be strictly monotone over the domain (checked on a grid); the
-    predicted variance is (Delta M)^2 / (m (df/dphi)^2) at the estimate.
+    f must be strictly monotone over the domain and the POVM must diagonalise
+    J_z; the predicted variance is (Delta J_z)^2 / (m (df/dphi)^2) at the estimate.
     """
-    c = povm_diagonal_coefficients(model.povm, observable)
     outcomes = np.asarray(outcomes, dtype=np.int64)
     if outcomes.size < 1:
         raise ValueError("method of moments needs at least one outcome")
     counts = np.bincount(outcomes, minlength=model.n_outcomes)[None, :]
-    (est,), (prediction,) = _moments_refine(model, c, counts, domain)
-    return MomentsEstimate(theta=float(est), variance_prediction=float(prediction),
-                           sample_moment=float(counts[0] @ c / outcomes.size))
+    (moment,), est, spread = _jz_moments(model, counts, domain)
+    return MomentsEstimate(theta=float(est[0]), sample_moment=float(moment),
+                           variance_prediction=float(spread(est)[0] / outcomes.size))
 
 
-def moments_monte_carlo(model: ProbabilityModel, observable: np.ndarray,
-                        theta_true: float, m: int, trials: int, seed: int,
-                        domain=DEFAULT_DOMAIN) -> EstimationReport:
+def moments_monte_carlo(model: ProbabilityModel, theta_true: float, m: int, trials: int,
+                        seed: int, domain=DEFAULT_DOMAIN) -> EstimationReport:
     """Moment estimates of every trial at once; the report's CRLB slot holds
     the error-propagation prediction evaluated at the true phase, and
     `variance_predictions` the prediction at each trial's estimate."""
     counts = sample(model, theta_true, m, seed, trials=trials)
-    c = povm_diagonal_coefficients(model.povm, observable)
-    estimates, predictions = _moments_refine(model, c, counts, domain)
-    var, slope = moment_statistics(c, *model._tables([theta_true], 1)[:, 0])
+    _, estimates, spread = _jz_moments(model, counts, domain)
     return EstimationReport(
         estimator="moments", theta_true=float(theta_true), m=int(m), seed=int(seed),
-        estimates=estimates, crlb=float(var / (m * slope**2)),
-        variance_predictions=predictions,
+        estimates=estimates, crlb=float(spread(np.array([float(theta_true)]))[0] / m),
+        variance_predictions=spread(estimates) / m,
     )
 
 

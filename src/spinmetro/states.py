@@ -263,7 +263,7 @@ def state_to_json(state: State, kind: str | None = None, parameters: dict | None
 
 
 def state_from_json(obj: dict) -> State:
-    space = SpinSpace(int(obj["n_particles"]))
+    space = SpinSpace(obj["n_particles"])
     if "amplitudes" in obj:
         amp = np.array([complex(re, im) for re, im in obj["amplitudes"]])
         return PureState(space, amp)

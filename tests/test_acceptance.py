@@ -20,7 +20,7 @@ from spinmetro.fisher import (Povm, ProbabilityModel, fisher_information,
                               povm_number_counting, povm_probe_projection,
                               qfi_mixed, qfi_pure, qfi_unitary, sld)
 from spinmetro.linalg import dagger, max_abs
-from spinmetro.spins import (SpinAxis, SpinSpace, mach_zehnder, op_j, op_jz,
+from spinmetro.spins import (SpinAxis, SpinSpace, mach_zehnder, op_j,
                              rotation, wigner_d_matrix)
 from spinmetro.states import (MixedState, PureState, coherent_spin, mix, noon,
                               spin_polarized, twin_fock, variance)
@@ -131,8 +131,8 @@ def test_c07_method_of_moments():
     space = SpinSpace(20)
     model = ProbabilityModel(coherent_spin(space, math.pi / 2), "y",
                              povm_number_counting(space))
-    report = moments_monte_carlo(model, op_jz(space), 0.6, m=10_000,
-                                 trials=800, seed=5, domain=(0.1, 1.2))
+    report = moments_monte_carlo(model, 0.6, m=10_000, trials=800, seed=5,
+                                 domain=(0.1, 1.2))
     prediction = report.crlb
     spread_ok = abs(report.variance - prediction) <= 0.15 * prediction
     shot_noise = 1.0 / (10_000 * 20)

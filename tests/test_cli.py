@@ -118,10 +118,11 @@ class TestEstimationCommands:
         assert "statistical failure: posterior does not vanish" in capsys.readouterr().err
 
     def test_moment_out_of_range_prints_round_trip_numbers(self, capsys):
-        # the range's low end is -1 plus round-off: at 6 digits both numbers read -1
+        # the range's low end, -<J_x> sin(1.5707963), is -1 + 1e-16: at 6 digits both
+        # numbers read -1
         code = main(["moments", "--n", "2", "--probe", "css", "--theta",
                      "1.5707963267948966", "--m", "5", "--trials", "3", "--domain",
-                     "0:1.5707963267948966", "--seed", "1"])
+                     "0:1.5707963", "--seed", "1"])
         assert code == EXIT_STATISTICAL
         (line,) = capsys.readouterr().err.splitlines()
         match = re.fullmatch(r"statistical failure: sample moment (\S+) outside the range "
@@ -129,6 +130,19 @@ class TestEstimationCommands:
         moment, low, high = (float(v) for v in match.groups())
         assert moment == -1.0 and -1.0 < low < -1.0 + 1e-12 and high == 0.0
         assert match.group(2) == f"{low:.17g}"
+
+    @pytest.mark.parametrize("n", ["2", "1000"])
+    def test_moment_at_the_turning_point_is_a_statistical_failure(self, capsys, n):
+        # every draw at theta = pi/2 is mu = -j, the extreme value of <J_z>, which the
+        # domain's upper end reaches: the slope there vanishes, whatever the round-off
+        code = main(["moments", "--n", n, "--probe", "css", "--theta",
+                     "1.5707963267948966", "--m", "5", "--trials", "3", "--domain",
+                     "0:1.5707963267948966", "--seed", "1"])
+        assert code == EXIT_STATISTICAL
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert captured.out == ""
+        assert line.startswith("statistical failure: d<J_z>/dphi vanishes at the estimate")
 
     def test_bayes_m_zero_emits_prior(self, tmp_path):
         code, text = run_cli(tmp_path, "bayes", "--n", "1", "--probe", "fock",
@@ -344,6 +358,27 @@ class TestValidation:
         assert main(["qfi", "--config", str(config_file)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: unknown config keys: n, sed\n")
+
+    @pytest.mark.parametrize("n_particles", [2.9, True, "2"])
+    def test_state_file_with_a_non_integer_n_exits_2(self, tmp_path, capsys, n_particles):
+        state = state_to_json(twin_fock(SpinSpace(2)))
+        state["n_particles"] = n_particles
+        state_file = tmp_path / "state.json"
+        state_file.write_text(json.dumps(state))
+        config_file = tmp_path / "probe.json"
+        config_file.write_text(json.dumps({"probe": {"kind": "state-file",
+                                                     "path": str(state_file)}}))
+        assert main(["qfi", "--n", "2", "--config", str(config_file)]) == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: state file") and "n_particles" in line
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["bounds", "--n", "4", "--m", "1", "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: cannot write {str(out)!r}")
 
     @pytest.mark.parametrize("command", ["depth", "squeeze", "qfi"])
     def test_state_file_with_other_n_exits_2(self, tmp_path, capsys, command):

@@ -17,7 +17,7 @@ from spinmetro.estimation import (BAYES_GRID, BorderSupportError, DomainError,
 from spinmetro.fisher import (ProbabilityModel, fisher_information,
                               povm_number_counting)
 from spinmetro.reporting import write_posterior_csv, write_trials_csv
-from spinmetro.spins import SpinSpace, op_jz
+from spinmetro.spins import SpinSpace
 from spinmetro.states import coherent_spin, fock, spin_polarized
 
 
@@ -379,7 +379,6 @@ def ramsey_model():
 
 class TestMethodOfMoments:
     def test_noiseless_inversion_exact(self, ramsey_model):
-        space = ramsey_model.space
         theta0 = 0.6
         p = ramsey_model.probabilities(theta0)
         # feed outcome counts proportional to the exact distribution by using
@@ -392,42 +391,44 @@ class TestMethodOfMoments:
         m = 10_000
         n_lo = int(round(w * m))
         outcomes = np.array([i_lo] * n_lo + [i_hi] * (m - n_lo))
-        est = method_of_moments(ramsey_model, op_jz(space), outcomes,
-                                domain=(0.1, 1.2))
+        est = method_of_moments(ramsey_model, outcomes, domain=(0.1, 1.2))
         achieved = float(np.mean(mu[outcomes]))
-        # bisection inverts the achieved sample moment to full tolerance
+        # the closed form inverts the achieved sample moment to full tolerance
         p_est = ramsey_model.probabilities(est.theta)
         assert float(mu @ p_est) == pytest.approx(achieved, abs=1e-9)
 
     def test_prediction_equals_shot_noise(self, ramsey_model):
-        space = ramsey_model.space
         draw = sample(ramsey_model, 0.6, 10_000, seed=11)
-        est = method_of_moments(ramsey_model, op_jz(space), draw.outcomes,
-                                domain=(0.1, 1.2))
+        est = method_of_moments(ramsey_model, draw.outcomes, domain=(0.1, 1.2))
         # xi_R^2 = 1 for the coherent state: prediction is the shot-noise variance
         assert est.variance_prediction == pytest.approx(
             1.0 / (10_000 * 20), abs=1e-9)
 
     def test_non_monotone_domain_rejected(self, ramsey_model):
         # <Jz>_phi = -(N/2) sin(phi) turns around at pi/2
-        space = ramsey_model.space
         draw = sample(ramsey_model, 0.3, 100, seed=4)
         with pytest.raises(DomainError, match="monotone"):
-            method_of_moments(ramsey_model, op_jz(space), draw.outcomes,
-                              domain=(0.1, 2.5))
+            method_of_moments(ramsey_model, draw.outcomes, domain=(0.1, 2.5))
 
     def test_out_of_range_moment(self, ramsey_model):
         space = ramsey_model.space
         # all outcomes at mu = +j: sample moment +10, far outside f over domain
         outcomes = np.full(50, space.dim - 1)
         with pytest.raises(MomentOutOfRangeError):
-            method_of_moments(ramsey_model, op_jz(space), outcomes,
-                              domain=(0.1, 1.2))
+            method_of_moments(ramsey_model, outcomes, domain=(0.1, 1.2))
+
+    def test_estimate_at_the_domain_end_stays_inside(self):
+        # N = 2: the moment -1/2 is <J_z> at pi/6, the low end; with R = <J_x> =
+        # 1 + 2e-16 the inversion lands one ulp below it
+        space = SpinSpace(2)
+        model = ProbabilityModel(coherent_spin(space, math.pi / 2), "y",
+                                 povm_number_counting(space))
+        est = method_of_moments(model, [0, 1], domain=(math.pi / 6, 1.4))
+        assert est.sample_moment == -0.5 and est.theta == math.pi / 6
 
     def test_monte_carlo_spread_matches_prediction(self, ramsey_model):
-        space = ramsey_model.space
-        rep = moments_monte_carlo(ramsey_model, op_jz(space), 0.6, m=2000,
-                                  trials=300, seed=17, domain=(0.1, 1.2))
+        rep = moments_monte_carlo(ramsey_model, 0.6, m=2000, trials=300, seed=17,
+                                  domain=(0.1, 1.2))
         assert rep.variance == pytest.approx(rep.crlb, rel=0.2)
 
 

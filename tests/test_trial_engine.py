@@ -4,9 +4,10 @@ Each Monte-Carlo harness draws one count matrix in one `sample(...,
 trials=T)` call (row t from Philox stream t) and refines every trial at
 once; trial t must agree with the single-sample estimator run on
 `sample(..., stream=t)`, with an independent scalar search run one trial at
-a time (golden section for the MLE, bisection for the moments, where the
-engine runs safeguarded Newton), and with the closed-form estimates of the
-coherent probe.
+a time (golden section for the MLE, where the engine runs safeguarded
+Newton; bisection over the probability table for the moments, which the
+engine takes in closed form from the probe's spin moments), and with the
+closed-form estimates of the coherent probe.
 """
 
 import math
@@ -18,15 +19,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinmetro import estimation
-from spinmetro.estimation import (BorderSupportError, MomentOutOfRangeError,
+from spinmetro.entanglement import squeezing
+from spinmetro.estimation import (BorderSupportError, DomainError, MomentOutOfRangeError,
                                   StatisticalFailure,
                                   bayes_monte_carlo, bayes_posterior,
                                   bayes_variance_bound, method_of_moments, mle,
                                   mle_monte_carlo, moments_monte_carlo,
                                   posterior_summaries, sample)
-from spinmetro.fisher import (P_FLOOR, ProbabilityModel, povm_diagonal_coefficients,
+from spinmetro.fisher import (P_FLOOR, Povm, ProbabilityModel, povm_diagonal_coefficients,
                               povm_number_counting, povm_probe_projection)
-from spinmetro.spins import SpinSpace, op_jz
+from spinmetro.spins import SpinSpace
 from spinmetro.states import coherent_spin, mix, noon, twin_fock
 
 N = 8
@@ -38,22 +40,20 @@ def _css():
     space = SpinSpace(N)
     model = ProbabilityModel(coherent_spin(space, math.pi / 2), "y",
                              povm_number_counting(space))
-    return model, 0.6, (0.1, 1.4), op_jz(space), 200
+    return model, 0.6, (0.1, 1.4), 200
 
 
 def _twin_fock():
-    # <Jz^2> = sin^2(theta) j(j+1)/2 is monotone on (0, pi/2)
     space = SpinSpace(N)
     model = ProbabilityModel(twin_fock(space), "y", povm_number_counting(space))
-    return model, 0.7, (0.1, 1.4), op_jz(space) @ op_jz(space), 200
+    return model, 0.7, (0.1, 1.4), 200
 
 
 def _mixture():
-    # <Jz^2> = (j^2 - sin^2(theta) (j^2/2 - j)) / 2 decreases on (0, pi/2)
     space = SpinSpace(N)
     probe = mix([(0.5, noon(space)), (0.5, twin_fock(space))])
     model = ProbabilityModel(probe, "y", povm_number_counting(space))
-    return model, 0.7, (0.1, 1.4), op_jz(space) @ op_jz(space), 2000
+    return model, 0.7, (0.1, 1.4), 2000
 
 
 def _noon_projection():
@@ -61,17 +61,58 @@ def _noon_projection():
     space = SpinSpace(N)
     probe = noon(space)
     model = ProbabilityModel(probe, "z", povm_probe_projection(probe))
-    projector = np.outer(probe.amplitudes, probe.amplitudes.conj())
-    return model, 0.5 * math.pi / N, (0.0, math.pi / N), projector, 200
+    return model, 0.5 * math.pi / N, (0.0, math.pi / N), 200
+
+
+def _oblique_css():
+    # <J_z>_phi = a0 + R cos(phi - phi0) turns at phi0 = -1.445 and phi0 + pi = 1.697
+    space = SpinSpace(N)
+    model = ProbabilityModel(coherent_spin(space, 1.1, 0.4), (0.3, 0.8, 0.5),
+                             povm_number_counting(space))
+    return model, 0.4, (-1.3, 1.5), 200
+
+
+def _css_second_branch():
+    # <J_z> = -j sin(phi) rises between its turning points pi/2 and 3 pi/2
+    model, _, _, m = _css()
+    return model, 2.3, (1.7, 3.0), m
+
+
+def _css_mixture():
+    space = SpinSpace(N)
+    probe = mix([(0.5, coherent_spin(space, math.pi / 2)),
+                 (0.5, coherent_spin(space, 1.2, 0.7))])
+    model = ProbabilityModel(probe, "y", povm_number_counting(space))
+    return model, 0.6, (0.1, 1.4), 200
+
+
+def _css_dicke_povm():
+    # counting as a dense POVM, its Dicke projectors listed from mu = +j down
+    space = SpinSpace(N)
+    basis = np.eye(space.dim)[::-1]
+    povm = Povm(tuple(space.mu[::-1]), [np.outer(e, e) for e in basis])
+    model = ProbabilityModel(coherent_spin(space, math.pi / 2), "y", povm)
+    return model, 0.6, (0.1, 1.4), 200
 
 
 CASES = {"css": _css, "twin-fock": _twin_fock, "noon+twin-fock": _mixture,
          "noon-projection": _noon_projection}
+#: the moment estimator inverts <J_z>, which needs a mean spin that the rotation
+#: turns through z (twin-Fock and NOON have none) and a POVM that diagonalises J_z
+MOMENT_CASES = {**CASES, "oblique-css": _oblique_css, "css-second-branch": _css_second_branch,
+                "css-mixture": _css_mixture, "css-dicke-povm": _css_dicke_povm}
+MOMENT_REFUSALS = {"twin-fock": DomainError, "noon+twin-fock": DomainError,
+                   "noon-projection": ValueError}
 
 
 @pytest.fixture(scope="module", params=list(CASES))
 def case(request):
     return CASES[request.param]()
+
+
+@pytest.fixture(scope="module", params=list(MOMENT_CASES))
+def moment_case(request):
+    return request.param, MOMENT_CASES[request.param]()
 
 
 def _draw(model, theta, m, t):
@@ -119,43 +160,49 @@ def _bisection_reference(model, c, outcomes, domain, tol=1e-12):
 
 
 def test_mle_trials_match_scalar_reference(case):
-    model, theta, domain, _, m = case
+    model, theta, domain, m = case
     rep = mle_monte_carlo(model, theta, m, TRIALS, SEED, domain=domain)
     for t in range(TRIALS):
         ref = _golden_reference(model, _draw(model, theta, m, t), domain)
         assert abs(rep.estimates[t] - ref) <= 1e-7
 
 
-def test_moments_trials_match_scalar_reference(case):
-    model, theta, domain, observable, m = case
-    rep = moments_monte_carlo(model, observable, theta, m, TRIALS, SEED, domain=domain)
-    c = povm_diagonal_coefficients(model.povm, observable)
+def test_moments_trials_match_scalar_reference(moment_case):
+    name, (model, theta, domain, m) = moment_case
+    if name in MOMENT_REFUSALS:
+        with pytest.raises(MOMENT_REFUSALS[name]):
+            moments_monte_carlo(model, theta, m, TRIALS, SEED, domain=domain)
+        return
+    rep = moments_monte_carlo(model, theta, m, TRIALS, SEED, domain=domain)
+    c = povm_diagonal_coefficients(model.povm, model.space.mu)
     for t in range(TRIALS):
         ref = _bisection_reference(model, c, _draw(model, theta, m, t), domain)
         assert abs(rep.estimates[t] - ref) <= 1e-12
 
 
 def test_mle_trials_match_single_sample(case):
-    model, theta, domain, _, m = case
+    model, theta, domain, m = case
     rep = mle_monte_carlo(model, theta, m, TRIALS, SEED, domain=domain)
     for t in range(TRIALS):
         single = mle(model, _draw(model, theta, m, t), domain=domain)
         assert abs(rep.estimates[t] - single.theta) <= 1e-7
 
 
-def test_moments_trials_match_single_sample(case):
-    model, theta, domain, observable, m = case
-    rep = moments_monte_carlo(model, observable, theta, m, TRIALS, SEED, domain=domain)
+def test_moments_trials_match_single_sample(moment_case):
+    name, (model, theta, domain, m) = moment_case
+    if name in MOMENT_REFUSALS:
+        with pytest.raises(MOMENT_REFUSALS[name]):
+            method_of_moments(model, _draw(model, theta, m, 0), domain=domain)
+        return
+    rep = moments_monte_carlo(model, theta, m, TRIALS, SEED, domain=domain)
     for t in range(TRIALS):
-        single = method_of_moments(model, observable, _draw(model, theta, m, t),
-                                   domain=domain)
-        assert abs(rep.estimates[t] - single.theta) <= 1e-12
-        assert rep.variance_predictions[t] == pytest.approx(
-            single.variance_prediction, rel=1e-12)
+        single = method_of_moments(model, _draw(model, theta, m, t), domain=domain)
+        assert rep.estimates[t] == single.theta
+        assert rep.variance_predictions[t] == single.variance_prediction
 
 
 def test_bayes_trials_match_single_sample(case):
-    model, theta, domain, _, m = case
+    model, theta, domain, m = case
     rep = bayes_monte_carlo(model, theta, m, 4, SEED, domain=domain)
     for t in range(4):
         post = bayes_posterior(model, _draw(model, theta, m, t), domain=domain)
@@ -176,10 +223,9 @@ def ramsey():
 def test_later_trial_moment_out_of_range_still_raises(ramsey):
     # seed 10, m = 20 on the narrow domain: trials 0 and 1 invert; trials 2 and 6
     # fall outside the range with different moments, and the first one is named
-    jz = op_jz(ramsey.space)
     domain = (0.5, 0.7)
     for t in range(2):
-        method_of_moments(ramsey, jz, sample(ramsey, 0.6, 20, 10, stream=t).outcomes,
+        method_of_moments(ramsey, sample(ramsey, 0.6, 20, 10, stream=t).outcomes,
                           domain=domain)
     labels = np.array(ramsey.outcome_labels)
     moments = [float(np.mean(labels[sample(ramsey, 0.6, 20, 10, stream=t).outcomes]))
@@ -187,7 +233,7 @@ def test_later_trial_moment_out_of_range_still_raises(ramsey):
     assert moments[0] != moments[1]
     with pytest.raises(MomentOutOfRangeError,
                        match=re.escape(f"sample moment {moments[0]:.17g} ")):
-        moments_monte_carlo(ramsey, jz, 0.6, 20, 8, 10, domain=domain)
+        moments_monte_carlo(ramsey, 0.6, 20, 8, 10, domain=domain)
 
 
 def test_later_trial_border_support_still_raises(ramsey):
@@ -245,15 +291,16 @@ def test_mle_harness_table_calls_do_not_scale_with_trials(ramsey, table_calls):
 
 
 def test_moments_harness_table_calls_do_not_scale_with_trials(ramsey, table_calls):
-    moments_monte_carlo(ramsey, op_jz(ramsey.space), 0.6, 100, 200, 5, domain=(0.1, 1.2))
-    assert len(table_calls) <= 100
+    # P(theta_true) for `sample`; the estimates and predictions are closed forms
+    moments_monte_carlo(ramsey, 0.6, 100, 200, 5, domain=(0.1, 1.2))
+    assert table_calls == [1]
 
 
 HARNESSES = {
     "mle": lambda model, trials: mle_monte_carlo(model, 0.6, 100, trials, 5,
                                                  domain=(0.0, 1.5)),
-    "moments": lambda model, trials: moments_monte_carlo(
-        model, op_jz(model.space), 0.6, 100, trials, 5, domain=(0.1, 1.2)),
+    "moments": lambda model, trials: moments_monte_carlo(model, 0.6, 100, trials, 5,
+                                                         domain=(0.1, 1.2)),
     "bayes": lambda model, trials: bayes_monte_carlo(model, 0.6, 100, trials, 5,
                                                      domain=(0.0, 1.5)),
 }
@@ -281,45 +328,46 @@ def test_harness_samples_every_trial_from_one_table_row(harness, ramsey, table_c
         for t in range(trials):
             assert np.array_equal(counts[t], original(*args, stream=t).counts())
     # both runs are one block: at most 5 fixed passes (P at theta_true for the draws,
-    # the grid, P and dP there for the bound, the final moment pass), plus Newton
-    # steps whose number depends on the data but never exceeds their cap
+    # the grid, P and dP there for the bound), plus Newton steps whose number depends
+    # on the data but never exceeds their cap; the moments make the first pass alone
     assert max(per_run) <= 5 + estimation._NEWTON_STEPS
+    if harness == "moments":
+        assert per_run == [1, 1]
 
 
 def test_refinements_evaluate_few_kernel_rows_per_trial(ramsey, table_calls):
-    # a linearly converging search (golden section, bisection) needs 25 and 43 rows here
+    # a linearly converging search (golden section) needs 25 rows here; the moment
+    # estimates are a closed form in the probe's spin moments and pass no row
     trials = 1000
     counts = sample(ramsey, 0.6, 100, 5, trials=trials)
     del table_calls[:]
     estimation._mle_refine(ramsey, counts, (0.0, 1.5))
     assert (sum(table_calls) - estimation.MLE_GRID) / trials <= 8
     del table_calls[:]
-    c = povm_diagonal_coefficients(ramsey.povm, op_jz(ramsey.space))
-    estimation._moments_refine(ramsey, c, counts, (0.1, 1.2))
-    assert (sum(table_calls) - estimation.MOMENTS_GRID) / trials <= 8
+    estimation._jz_moments(ramsey, counts, (0.1, 1.2))
+    assert table_calls == []
 
 
 @pytest.mark.parametrize("kind", ["css", "noon+twin-fock"])
 def test_estimates_do_not_depend_on_the_trial_block(kind, monkeypatch):
     # 300 trials are 43 blocks of 7 and two blocks of 256, in the draws, the MLE grid
     # stage and Newton alike.  How a kernel pass rounds an angle's row depends on the
-    # other angles in the pass (the BLAS product's tiling), and the moment Newton runs
-    # until its residual is that round-off, so its last step may move an estimate by a
-    # few ulps; the score's round-off moves an MLE step far less than an ulp
+    # other angles in the pass (the BLAS product's tiling), but the score's round-off
+    # moves an MLE step far less than an ulp.  The moment estimates are row-wise
+    # closed forms; the mixture has no mean spin, so it has none
     space = SpinSpace(100)
     probe = (coherent_spin(space, math.pi / 2) if kind == "css"
              else mix([(0.5, noon(space)), (0.5, twin_fock(space))]))
     model = ProbabilityModel(probe, "y", povm_number_counting(space))
-    observable = op_jz(space) if kind == "css" else op_jz(space) @ op_jz(space)
     runs = []
     for block in (7, 256):
         monkeypatch.setattr(estimation, "_TRIAL_BLOCK", block)
-        runs.append((mle_monte_carlo(model, 0.7, 500, 300, SEED, domain=(0.1, 1.4)),
-                     moments_monte_carlo(model, observable, 0.7, 500, 300, SEED,
-                                         domain=(0.1, 1.4))))
-    (mle_small, moments_small), (mle_large, moments_large) = runs
-    assert np.array_equal(mle_small.estimates, mle_large.estimates)
-    assert np.max(np.abs(moments_small.estimates - moments_large.estimates)) <= 1e-15
+        runs.append([mle_monte_carlo(model, 0.7, 500, 300, SEED, domain=(0.1, 1.4))])
+        if kind == "css":
+            runs[-1].append(moments_monte_carlo(model, 0.7, 500, 300, SEED,
+                                                domain=(0.1, 1.4)))
+    for small, large in zip(*runs):
+        assert np.array_equal(small.estimates, large.estimates)
 
 
 def test_large_n_mle_blocks_match_single_sample_rows():
@@ -347,10 +395,41 @@ def test_estimates_match_coherent_closed_form(n):
     inside = (closed > domain[0]) & (closed < domain[1])
     assert inside.sum() >= trials - 2
     mle_rep = mle_monte_carlo(model, 0.6, m, trials, SEED, domain=domain)
-    moments_rep = moments_monte_carlo(model, op_jz(space), 0.6, m, trials, SEED,
-                                      domain=domain)
+    moments_rep = moments_monte_carlo(model, 0.6, m, trials, SEED, domain=domain)
     assert np.max(np.abs(mle_rep.estimates - closed)[inside]) <= 1e-12
     assert np.max(np.abs(moments_rep.estimates - closed)[inside]) <= 1e-12
+
+
+@pytest.mark.parametrize("theta", [-1.2, -0.4, 0.3, 1.2])
+def test_css_moment_prediction_is_shot_noise_at_every_theta(theta):
+    # about y, (Delta J_z)^2 = j cos^2(theta) / 2 and d<J_z>/dtheta = -j cos(theta)
+    space = SpinSpace(20)
+    model = ProbabilityModel(coherent_spin(space, math.pi / 2), "y",
+                             povm_number_counting(space))
+    m = 300
+    rep = moments_monte_carlo(model, theta, m, 50, SEED, domain=(-1.5, 1.5))
+    shot_noise = 1.0 / (m * space.n_particles)
+    assert rep.crlb == pytest.approx(shot_noise, rel=1e-12)
+    assert np.allclose(rep.variance_predictions, shot_noise, rtol=1e-12, atol=0.0)
+
+
+def test_moment_prediction_where_the_mean_spin_is_perpendicular_to_z_is_xi_r_squared():
+    # the mean spin lies in the xz plane, so the rotation about y turns it through the
+    # x axis; there m (Delta theta)^2 = (Delta J_n1)^2 / |<J>|^2 = xi_R^2 / N
+    space = SpinSpace(10)
+    probe = mix([(0.5, coherent_spin(space, 1.0, 0.5)),
+                 (0.5, coherent_spin(space, 1.0, -0.5))])
+    model = ProbabilityModel(probe, "y", povm_number_counting(space))
+    mean = np.array([math.sin(1.0) * math.cos(0.5), 0.0, math.cos(1.0)])
+    report = squeezing(probe, (np.cross(mean, (0.0, 1.0, 0.0)), "y", mean))
+    assert abs(report.xi_r_squared - 1.0) > 0.05
+    m = 400
+    zero = space.index_of(0.0)  # the sample moment 0 is <J_z> where <J> is along x
+    est = method_of_moments(model, np.full(m, zero), domain=(-0.9, 0.9))
+    assert float(model.probabilities(est.theta) @ space.mu) == pytest.approx(0.0,
+                                                                             abs=1e-12)
+    assert m * est.variance_prediction == pytest.approx(
+        report.xi_r_squared / space.n_particles, rel=1e-12)
 
 
 def test_newton_keeps_an_exact_zero():
