@@ -15,7 +15,7 @@ from .entanglement import (DepthReport, FisherSqueezingCheck, SqueezingReport,
                            write_staircase_csv)
 from .estimation import (DEFAULT_DOMAIN, BayesReport, BorderSupportError,
                          DomainError, EstimationReport, MleEstimate,
-                         MomentsEstimate, OutcomeSample, PosteriorDistribution,
+                         MomentsEstimate, PosteriorDistribution,
                          PosteriorSummary, StatisticalFailure,
                          bayes_monte_carlo, bayes_posterior,
                          bayes_variance_bound, crlb_saturation_residual,

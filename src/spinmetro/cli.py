@@ -140,6 +140,8 @@ class RunConfig:
             raise ConfigError("fisher value cannot be negative")
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError("out must be a path string")
+        if self.out and not Path(self.out).parent.is_dir():  # permissions show at write time
+            raise ConfigError(f"cannot write {self.out!r}: its directory does not exist")
         _axis(self.axis)
         _axis(_spec(self.probe).get("axis", self.axis))  # a ghz probe's own axis
         self.squeeze_axes = _fields(self.squeeze_axes, 3, "squeeze_axes")
@@ -147,6 +149,8 @@ class RunConfig:
             _axis(a)
         if self.povm not in ("counting", "projection"):
             raise ConfigError("povm must be 'counting' or 'projection'")
+        if self.command == "moments" and self.povm != "counting":
+            raise ConfigError("moments needs --povm counting, the POVM that diagonalises J_z")
         for key in _REQUIRES.get(self.command, ()):
             if key == "theta" and self.command == "bayes" and self.m == 0:
                 continue
@@ -291,7 +295,8 @@ def cmd_mle(config: RunConfig):
 def cmd_bayes(config: RunConfig):
     model = build_model(config)
     if config.m == 0:
-        post = bayes_posterior(model, np.empty(0, dtype=np.int64), domain=config.domain)
+        post = bayes_posterior(model, np.zeros(model.n_outcomes, dtype=np.int64),
+                               domain=config.domain)
         summary = posterior_summaries(post)
         results = {
             "estimator": "bayes", "m": 0, "trials": 1,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 #: default estimation window for probes whose statistics are even in theta
 DEFAULT_DOMAIN = (0.0, math.pi / 2)
-#: MLE: coarse grid points, then Newton refinement until its bracket is this narrow
+#: MLE: at least this many grid points, then Newton until the bracket is this narrow
 MLE_GRID = 512
 MLE_TOL = 1e-7
 #: posterior grid points (flat prior)
@@ -111,43 +111,6 @@ def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:
     return _PhiloxStreams(seed).at(stream)
 
 
-@dataclass(frozen=True)
-class OutcomeSample:
-    """m i.i.d. outcome draws from a model at the true phase."""
-
-    model: ProbabilityModel
-    theta_true: float
-    outcomes: np.ndarray
-    seed: int
-    stream: int = 0
-    _counts: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        out = np.asarray(self.outcomes, dtype=np.int64)
-        if out.ndim != 1:
-            raise ValueError("outcomes must be a 1-d array of outcome ids")
-        n = self.model.n_outcomes
-        try:  # one pass both counts and checks the range
-            counts = np.bincount(out, minlength=n)
-            in_range = counts.size == n
-        except (ValueError, MemoryError):  # a negative id, or one too large to count
-            in_range = False
-        if not in_range:
-            raise ValueError("sample contains outcome ids outside the model's POVM")
-        out.setflags(write=False)
-        counts.setflags(write=False)
-        object.__setattr__(self, "outcomes", out)
-        object.__setattr__(self, "_counts", counts)
-
-    @property
-    def m(self) -> int:
-        return int(self.outcomes.size)
-
-    def counts(self) -> np.ndarray:
-        """Read-only count of each outcome id, length `model.n_outcomes`."""
-        return self._counts
-
-
 #: trials per block of the batched count, the MLE grid stage and Newton's steps, at
 #: every N (any block <= 1024 keeps the count's r * 2**53 key shifts below 2**63).
 #: On 2 cores an order-2 pass over 1000 angles at N = 20 took 2.0 ms whole and
@@ -189,40 +152,46 @@ def _count_draws(streams: _PhiloxStreams, cdf: np.ndarray, m: int, first: int,
 
 
 def sample(model: ProbabilityModel, theta_true: float, m: int, seed: int,
-           stream: int = 0, *, trials: int | None = None) -> OutcomeSample | np.ndarray:
-    """Draw m outcomes by inverse CDF over the outcome table; deterministic in seed.
-
-    Without `trials`, the OutcomeSample of Philox stream `stream`.  With it,
-    the (trials, outcomes) count matrix whose row t is the `counts()` of the
-    sample of stream `stream + t`, all drawn from one P(theta_true).
-    """
+           stream: int = 0, *, trials: int = 1) -> np.ndarray:
+    """(trials, outcomes) counts of m draws by inverse CDF over the outcome table,
+    row t from Philox stream `stream + t`, all from one P(theta_true)."""
     m = _index(m, "m", 1)
     stream = _index(stream, "stream", 0, 2**128)
+    trials = _index(trials, "trials", 1)
+    _index(stream + trials - 1, "last stream", 0, 2**128)
     cdf = np.cumsum(model.probabilities(theta_true))
     cdf[-1] = max(cdf[-1], 1.0)  # guard the top edge against round-off
-    streams = _PhiloxStreams(seed)
-    if trials is not None:
-        trials = _index(trials, "trials", 1)
-        _index(stream + trials - 1, "last stream", 0, 2**128)
-        return _count_draws(streams, cdf, m, stream, trials)
-    draws = np.empty((1, m))
-    streams.fill(stream, draws)
-    return OutcomeSample(model=model, theta_true=float(theta_true),
-                         outcomes=cdf.searchsorted(draws[0], side="right"),
-                         seed=int(seed), stream=stream)
+    return _count_draws(_PhiloxStreams(seed), cdf, m, stream, trials)
+
+
+def _count_row(model: ProbabilityModel, counts, least: int = 0) -> np.ndarray:
+    """`counts` as one row of int64 outcome counts, checked: length n_outcomes, an
+    integer dtype, entries >= 0 and a total of at least `least`."""
+    row = np.asarray(counts)
+    if row.shape != (model.n_outcomes,):
+        raise ValueError(f"counts must be one row of {model.n_outcomes} outcome counts, "
+                         f"got shape {row.shape}")
+    if row.dtype.kind not in "iu":
+        raise ValueError(f"counts must have an integer dtype, got {row.dtype}")
+    row = row.astype(np.int64)
+    if np.any(row < 0):
+        raise ValueError("counts must be >= 0")
+    if row.sum() < least:
+        raise ValueError(f"counts must total at least {least}, got {row.sum()}")
+    return row
 
 
 def _log_table(model: ProbabilityModel, thetas) -> np.ndarray:
-    return np.log(np.clip(model.probability_table(thetas), P_FLOOR, None))
+    table = model.probability_table(thetas)  # in place: an N = 4096 MLE grid holds 256 MB
+    return np.log(np.clip(table, P_FLOOR, None, out=table), out=table)
 
 
-def log_likelihood(model: ProbabilityModel, outcomes, phi):
-    """L(eps|phi) = sum_i ln P(eps_i|phi), probabilities floored at P_FLOOR.
+def log_likelihood(model: ProbabilityModel, counts, phi):
+    """L(n|phi) = sum_k n_k ln P(k|phi) of one count row, P floored at P_FLOOR.
 
     `phi` may be a scalar or an array; the result matches its shape.
     """
-    counts = np.bincount(np.asarray(outcomes, dtype=np.int64), minlength=model.n_outcomes)
-    values = _log_table(model, phi) @ counts
+    values = _log_table(model, phi) @ _count_row(model, counts)
     return float(values[0]) if np.isscalar(phi) or np.ndim(phi) == 0 else values
 
 
@@ -268,14 +237,17 @@ def _newton(g, x, a, b, step_tol, width_tol):
 def _mle_refine(model, counts, domain):
     """Row-wise MLE of a (trials, outcomes) count matrix, and the boundary flags.
 
-    The grid stage takes one product per block of trials.  From each trial's
-    best grid point, safeguarded Newton on the score S = sum n P'/P in
-    [best - 1, best + 1], with S' = sum n (P''/P - (P'/P)^2) and no term from
-    outcomes with P <= P_FLOOR, stops once a step is <= 1e-10 or the bracket
-    <= MLE_TOL.
+    Every P_k is a trigonometric polynomial of degree <= N in phi, so no
+    feature is narrower than about pi/N: the grid takes max(MLE_GRID,
+    ceil(4 N |domain| / pi)) points, four per pi/N.  The grid stage takes one
+    product per block of trials.  From each trial's best grid point,
+    safeguarded Newton on the score S = sum n P'/P in [best - 1, best + 1],
+    with S' = sum n (P''/P - (P'/P)^2) and no term from outcomes with
+    P <= P_FLOOR, stops once a step is <= 1e-10 or the bracket <= MLE_TOL.
     """
     lo, hi = _interval(domain)
-    grid = np.linspace(lo, hi, MLE_GRID)
+    points = max(MLE_GRID, math.ceil(4 * model.space.n_particles * (hi - lo) / math.pi))
+    grid = np.linspace(lo, hi, points)
     logp_grid = _log_table(model, grid)
     best = np.concatenate([np.argmax(counts[i:i + _TRIAL_BLOCK] @ logp_grid.T, axis=1)
                            for i in range(0, len(counts), _TRIAL_BLOCK)])
@@ -287,18 +259,19 @@ def _mle_refine(model, counts, domain):
         return -_vecdot(ratio, n), _vecdot(ratio ** 2 - d2p * inv, n)
 
     est = _newton(minus_score, grid[best], grid[np.maximum(best - 1, 0)],
-                  grid[np.minimum(best + 1, MLE_GRID - 1)], 1e-10, MLE_TOL)
+                  grid[np.minimum(best + 1, points - 1)], 1e-10, MLE_TOL)
     boundary = (est - lo < 2 * MLE_TOL) | (hi - est < 2 * MLE_TOL)
     return est, boundary
 
 
-def mle(model: ProbabilityModel, outcomes, domain=DEFAULT_DOMAIN) -> MleEstimate:
-    """Maximum-likelihood phase: coarse grid, then safeguarded Newton on the score.
+def mle(model: ProbabilityModel, counts, domain=DEFAULT_DOMAIN) -> MleEstimate:
+    """Maximum-likelihood phase of one count row (total >= 1): coarse grid, then
+    safeguarded Newton on the score.
 
     The domain must be an interval on which the model is identifiable; a
     maximum on the domain boundary is flagged but still returned.
     """
-    counts = np.bincount(np.asarray(outcomes, dtype=np.int64), minlength=model.n_outcomes)
+    counts = _count_row(model, counts, 1)
     est, (boundary,) = _mle_refine(model, counts[None, :], domain)
     (loglik,) = _vecdot(_log_table(model, est), counts)
     return MleEstimate(theta=float(est[0]), log_likelihood=float(loglik), boundary=bool(boundary))
@@ -441,17 +414,14 @@ def _moments(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, _trapz((x - mean[:, None]) ** 2 * f, x, axis=1)
 
 
-def bayes_posterior(model: ProbabilityModel, outcomes,
+def bayes_posterior(model: ProbabilityModel, counts,
                     domain=DEFAULT_DOMAIN) -> PosteriorDistribution:
-    """Flat-prior posterior P(phi|eps) on BAYES_GRID points: exp(L - max),
-    trapezoid-normalised.  With no outcomes it is the flat prior itself."""
+    """Flat-prior posterior P(phi|n) of one count row on BAYES_GRID points:
+    exp(L - max), trapezoid-normalised.  The all-zero row gives the flat prior."""
     grid = np.linspace(*_interval(domain), BAYES_GRID)
-    outcomes = np.asarray(outcomes, dtype=np.int64)
-    if outcomes.size:
-        counts = np.bincount(outcomes, minlength=model.n_outcomes)
-        logpost = _log_likelihoods(_log_table(model, grid), counts[None, :])
-    else:
-        logpost = np.zeros((1, BAYES_GRID))
+    counts = _count_row(model, counts)
+    logpost = (_log_likelihoods(_log_table(model, grid), counts[None, :]) if counts.any()
+               else np.zeros((1, BAYES_GRID)))
     density, failures = _normalised(grid, logpost)
     _raise_first(failures)
     return PosteriorDistribution(grid=grid, density=density[0])
@@ -644,20 +614,18 @@ def _jz_moments(model, counts, domain):
     return moments, np.clip(base + np.arccos(cosine), lo, hi), spread
 
 
-def method_of_moments(model: ProbabilityModel, outcomes,
+def method_of_moments(model: ProbabilityModel, counts,
                       domain=DEFAULT_DOMAIN) -> MomentsEstimate:
-    """Invert the sample mean of J_z through f(phi) = <J_z>_phi, in closed form.
+    """Invert the sample mean of J_z of one count row (total m >= 1) through
+    f(phi) = <J_z>_phi, in closed form.
 
     f must be strictly monotone over the domain and the POVM must diagonalise
     J_z; the predicted variance is (Delta J_z)^2 / (m (df/dphi)^2) at the estimate.
     """
-    outcomes = np.asarray(outcomes, dtype=np.int64)
-    if outcomes.size < 1:
-        raise ValueError("method of moments needs at least one outcome")
-    counts = np.bincount(outcomes, minlength=model.n_outcomes)[None, :]
-    (moment,), est, spread = _jz_moments(model, counts, domain)
+    counts = _count_row(model, counts, 1)
+    (moment,), est, spread = _jz_moments(model, counts[None, :], domain)
     return MomentsEstimate(theta=float(est[0]), sample_moment=float(moment),
-                           variance_prediction=float(spread(est)[0] / outcomes.size))
+                           variance_prediction=float(spread(est)[0] / counts.sum()))
 
 
 def moments_monte_carlo(model: ProbabilityModel, theta_true: float, m: int, trials: int,

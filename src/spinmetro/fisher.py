@@ -461,12 +461,16 @@ def spin_moments(probe: State | SpinMoments) -> SpinMoments:
     p, phi = spectral_support(probe)
     moved = np.stack(spin_action(probe.space, phi))  # moved[i] = J_i Phi
     a = dagger(phi) @ moved
-    gram = np.einsum("ikr,jkr->ijr", moved.conj(), moved).real  # Re <J_i phi_r|J_j phi_r>
     means = np.einsum("irr,r->i", a, p).real
+    # the central columns (J_i - <J_i>) phi_r leave gamma as it is and the covariance
+    # without the cancellation of gram @ p - <J_i><J_j> along the mean spin
+    moved -= means[:, None, None] * phi
+    a -= means[:, None, None] * np.eye(p.size)
+    gram = np.einsum("ikr,jkr->ijr", moved.conj(), moved).real  # Re <J_i phi_r|J_j phi_r>
     inside = np.where(p > P_FLOOR, p, 0.0)
     coeff = 0.5 * _spectral_weight(p) - inside[:, None]
     gamma = gram @ inside + np.einsum("kl,ikl,jlk->ij", coeff, a, a).real
-    return SpinMoments(means, gram @ p - np.outer(means, means), 0.5 * (gamma + gamma.T))
+    return SpinMoments(means, gram @ p, 0.5 * (gamma + gamma.T))
 
 
 def qfi(probe: State | SpinMoments, axis) -> float:

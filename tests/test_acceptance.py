@@ -117,8 +117,8 @@ def test_c06_bayes_normality():
     space = SpinSpace(1)
     model = ProbabilityModel(spin_polarized(space), "y",
                              povm_number_counting(space))
-    draw = sample(model, 0.8, 1000, seed=3)
-    post = bayes_posterior(model, draw.outcomes, domain=(0.0, math.pi))
+    post = bayes_posterior(model, sample(model, 0.8, 1000, seed=3)[0],
+                           domain=(0.0, math.pi))
     var = posterior_summaries(post).variance
     bound = bayes_variance_bound(post)
     target = 1.0 / (1000 * fisher_information(model, 0.8).fi)

@@ -404,6 +404,15 @@ MEETS = {"theta_grid": ["--theta-grid", "0.1:1.4:8"], "domain": ["--domain", "0:
          "theta": ["--theta", "0.7"], "m": ["--m", "10"]}
 
 
+@pytest.fixture
+def nothing_built(monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("a probe or model was built")
+
+    monkeypatch.setattr(cli, "build_probe", built)
+    monkeypatch.setattr(cli, "ProbabilityModel", built)
+
+
 class TestRequirements:
     def test_table_lists_every_requirement(self):
         assert sorted((c, r) for c, reqs in cli._REQUIRES.items() for r in reqs) == sorted(
@@ -412,12 +421,7 @@ class TestRequirements:
     @pytest.mark.parametrize("command, missing", REQUIREMENTS,
                              ids=[f"{c}-{r}" for c, r in REQUIREMENTS])
     def test_missing_requirement_exits_2_before_anything_is_built(
-            self, monkeypatch, capsys, command, missing):
-        def built(*args, **kwargs):
-            raise AssertionError("a probe or model was built")
-
-        monkeypatch.setattr(cli, "build_probe", built)
-        monkeypatch.setattr(cli, "ProbabilityModel", built)
+            self, nothing_built, capsys, command, missing):
         argv = [command, "--n", str(N_MAX), "--probe", "css"]
         for key in (r for c, r in REQUIREMENTS if c == command and r != missing):
             argv += MEETS[key]
@@ -427,6 +431,25 @@ class TestRequirements:
         lines = capsys.readouterr().err.strip().splitlines()
         flag = "--" + missing.replace("_", "-")
         assert len(lines) == 1 and lines[0].startswith(f"error: {command} needs {flag}"), lines
+
+    #: the N = 4096 moments run that built the model and two dense 4097^2 arrays
+    MOMENTS = ["moments", "--n", str(N_MAX), "--probe", "css", "--theta", "0.7", "--m", "300",
+               "--trials", "200", "--domain", "0:1.5", "--seed", "3"]
+
+    def test_moments_with_the_projection_povm_exits_2_before_anything_is_built(
+            self, nothing_built, capsys):
+        assert main([*self.MOMENTS, "--povm", "projection"]) == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: moments needs --povm counting")
+
+    def test_out_in_a_missing_directory_exits_2_before_anything_is_built(
+            self, nothing_built, capsys, tmp_path):
+        out = tmp_path / "missing" / "x.json"
+        assert main([*self.MOMENTS, "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: cannot write {str(out)!r}")
 
 
     def test_bayes_flat_prior_needs_no_theta(self, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from spinmetro import estimation
 from spinmetro.estimation import (BAYES_GRID, BorderSupportError, DomainError,
-                                  MomentOutOfRangeError, OutcomeSample,
+                                  MomentOutOfRangeError,
                                   PosteriorDistribution,
                                   bayes_monte_carlo, bayes_posterior,
                                   bayes_variance_bound,
@@ -93,22 +93,22 @@ class TestSample:
     def test_point_mass_constant_sequence(self):
         space = SpinSpace(3)
         model = ProbabilityModel(fock(space, 1.5), "z", povm_number_counting(space))
-        draw = sample(model, 0.9, 50, seed=1)
-        assert np.all(draw.outcomes == space.index_of(1.5))
+        counts = sample(model, 0.9, 50, seed=1)
+        assert counts.shape == (1, space.dim)
+        assert counts[0, space.index_of(1.5)] == counts.sum() == 50
 
     def test_same_seed_identical(self, qubit_model):
         a = sample(qubit_model, 0.8, 100, seed=9, stream=4)
         b = sample(qubit_model, 0.8, 100, seed=9, stream=4)
-        assert np.array_equal(a.outcomes, b.outcomes)
+        assert np.array_equal(a, b)
 
     def test_multinomial_frequencies(self):
         space = SpinSpace(4)
         model = ProbabilityModel(coherent_spin(space, 1.1), "y",
                                  povm_number_counting(space))
         m = 100_000
-        draw = sample(model, 0.4, m, seed=2024)
         p = model.probabilities(0.4)
-        freq = draw.counts() / m
+        freq = sample(model, 0.4, m, seed=2024)[0] / m
         sigma = np.sqrt(p * (1 - p) / m)
         assert np.all(np.abs(freq - p) <= 4 * sigma + 1e-12)
 
@@ -126,78 +126,123 @@ class TestSample:
             sample(qubit_model, 0.1, 10, seed=1.7)
 
 
+#: every call that reads one count row, on the qubit model
+ONE_ROW = {
+    "log_likelihood": lambda model, counts: log_likelihood(model, counts, 0.4),
+    "mle": lambda model, counts: mle(model, counts, domain=(0.1, 2.0)),
+    "method_of_moments": lambda model, counts: method_of_moments(model, counts,
+                                                                 domain=(0.1, 2.0)),
+    "bayes_posterior": lambda model, counts: bayes_posterior(model, counts,
+                                                             domain=(0.0, math.pi)).density,
+}
+
+
 class TestOutcomeSample:
-    @pytest.mark.parametrize("outcomes", [[0, -1, 1], [0, 2, 1], [2**40]])
+    """A sample of outcomes is its row of outcome counts: the one-row calls refuse a
+    row without length n_outcomes, an integer dtype and entries >= 0."""
+
+    @staticmethod
+    def _refused(model, counts, match, calls=ONE_ROW):
+        for name in calls:
+            with pytest.raises(ValueError, match=match):
+                ONE_ROW[name](model, counts)
+
+    @pytest.mark.parametrize("outcomes", [[0, 1, 1], [2, 0, 0, 1], [5, 5, 5]])
     def test_ids_outside_the_povm_are_rejected(self, qubit_model, outcomes):
-        # the qubit model has 2 outcomes: ids 0 and 1
-        with pytest.raises(ValueError, match="outside the model's POVM"):
-            OutcomeSample(model=qubit_model, theta_true=0.3, outcomes=outcomes, seed=1)
+        # the qubit model has 2 outcomes; a longer row counts ids from 2 up
+        self._refused(qubit_model, outcomes, "one row of 2 outcome counts, got shape")
+
+    @pytest.mark.parametrize("counts", [[4], []])
+    def test_short_rows_are_rejected(self, qubit_model, counts):
+        self._refused(qubit_model, counts, "one row of 2 outcome counts")
 
     def test_two_dimensional_outcomes_are_rejected(self, qubit_model):
-        with pytest.raises(ValueError, match="1-d"):
-            OutcomeSample(model=qubit_model, theta_true=0.3,
-                          outcomes=[[0, 1], [1, 1]], seed=1)
+        for counts in ([[0, 1], [1, 1]], [[3, 4]]):
+            self._refused(qubit_model, counts, "one row of 2 outcome counts")
 
-    def test_counts_are_the_read_only_bincount(self, qubit_model):
-        draw = sample(qubit_model, 0.7, 500, seed=12, stream=3)
-        counts = draw.counts()
-        assert np.array_equal(counts, np.bincount(draw.outcomes, minlength=2))
-        assert counts.sum() == draw.m == 500
-        with pytest.raises(ValueError):
-            counts[0] = 0
+    @pytest.mark.parametrize("counts", [[1.0, 2.0], [True, False]],
+                             ids=["float", "bool"])
+    def test_non_integer_counts_are_rejected(self, qubit_model, counts):
+        self._refused(qubit_model, counts, "integer dtype")
+
+    def test_negative_counts_are_rejected(self, qubit_model):
+        self._refused(qubit_model, [3, -1], "counts must be >= 0")
+
+    def test_mle_and_moments_need_a_total_of_one(self, qubit_model):
+        self._refused(qubit_model, [0, 0], "counts must total at least 1, got 0",
+                      calls=("mle", "method_of_moments"))
 
     def test_empty_sample_has_zero_counts(self, qubit_model):
-        draw = OutcomeSample(model=qubit_model, theta_true=0.3, outcomes=[], seed=1)
-        assert draw.m == 0
-        assert np.array_equal(draw.counts(), [0, 0])
+        # the empty sample's likelihood is 1, and its posterior is the flat prior
+        zero = np.zeros(2, dtype=np.int64)
+        grid = np.linspace(0.1, 3.0, 9)
+        assert np.array_equal(log_likelihood(qubit_model, zero, grid), np.zeros(9))
+        density = bayes_posterior(qubit_model, zero, domain=(0.0, math.pi)).density
+        assert np.all(density == density[0])
+
+    def test_every_integer_dtype_is_accepted(self, qubit_model):
+        counts = np.array([12, 31])
+        for dtype in (np.int8, np.uint16, np.int32, np.uint64):
+            for call in ONE_ROW.values():
+                assert np.array_equal(call(qubit_model, counts.astype(dtype)),
+                                      call(qubit_model, counts))
+
+    def test_counts_are_the_bincount_of_the_draws(self, qubit_model):
+        # the inverse-CDF map of each draw, with the top edge guarded against round-off
+        cdf = np.cumsum(qubit_model.probabilities(0.7))
+        cdf[-1] = max(cdf[-1], 1.0)
+        draws = philox_stream(12, 3).random(500)
+        counts = sample(qubit_model, 0.7, 500, seed=12, stream=3)
+        assert np.array_equal(counts, [np.bincount(cdf.searchsorted(draws, "right"),
+                                                   minlength=2)])
+        assert counts.dtype == np.int64 and counts.sum() == 500
 
 
 class TestLogLikelihood:
     def test_uniform_two_outcome(self, qubit_model):
         # theta = pi/2 gives P = (1/2, 1/2)
-        assert log_likelihood(qubit_model, [0], math.pi / 2) == pytest.approx(
+        assert log_likelihood(qubit_model, [1, 0], math.pi / 2) == pytest.approx(
             math.log(0.5), abs=1e-12)
 
     def test_additivity_exact(self, qubit_model, rng):
-        a = rng.integers(0, 2, size=40)
-        b = rng.integers(0, 2, size=25)
+        a = np.bincount(rng.integers(0, 2, size=40), minlength=2)
+        b = np.bincount(rng.integers(0, 2, size=25), minlength=2)
         phi = 0.73
-        total = log_likelihood(qubit_model, np.concatenate([a, b]), phi)
+        total = log_likelihood(qubit_model, a + b, phi)
         assert total == log_likelihood(qubit_model, a, phi) + log_likelihood(
             qubit_model, b, phi)
 
     def test_single_qubit_closed_form(self, qubit_model):
         # single 'up' outcome: L = ln cos^2(phi/2); up is the mu=+1/2 index (1)
         phi = 0.6
-        assert log_likelihood(qubit_model, [1], phi) == pytest.approx(
+        assert log_likelihood(qubit_model, [0, 1], phi) == pytest.approx(
             2 * math.log(math.cos(phi / 2)), abs=1e-12)
 
     def test_vectorised_over_grid(self, qubit_model):
         grid = np.linspace(0.1, 1.0, 7)
-        values = log_likelihood(qubit_model, [0, 1, 1], grid)
+        values = log_likelihood(qubit_model, [1, 2], grid)
         assert values.shape == grid.shape
         assert values[3] == pytest.approx(
-            log_likelihood(qubit_model, [0, 1, 1], float(grid[3])), abs=1e-12)
+            log_likelihood(qubit_model, [1, 2], float(grid[3])), abs=1e-12)
 
 
 class TestMle:
     def test_matching_frequencies_recover_theta(self, qubit_model):
         # 50-50 counts maximise the likelihood exactly at pi/2
-        outcomes = np.array([0, 1] * 50)
-        est = mle(qubit_model, outcomes, domain=(0.2, 2.9))
+        est = mle(qubit_model, [50, 50], domain=(0.2, 2.9))
         assert est.theta == pytest.approx(math.pi / 2, abs=1e-6)
         assert not est.boundary
 
     def test_stationarity_when_interior(self, qubit_model):
-        outcomes = sample(qubit_model, 0.9, 500, seed=5).outcomes
-        est = mle(qubit_model, outcomes, domain=(0.1, 2.8))
+        counts = sample(qubit_model, 0.9, 500, seed=5)[0]
+        est = mle(qubit_model, counts, domain=(0.1, 2.8))
         h = 1e-4
-        d = (log_likelihood(qubit_model, outcomes, est.theta + h)
-             - log_likelihood(qubit_model, outcomes, est.theta - h)) / (2 * h)
+        d = (log_likelihood(qubit_model, counts, est.theta + h)
+             - log_likelihood(qubit_model, counts, est.theta - h)) / (2 * h)
         assert abs(d) < 1e-2  # flat to the refinement tolerance
 
     def test_consistency_large_m(self, qubit_model):
-        est = mle(qubit_model, sample(qubit_model, 0.8, 10_000, seed=11).outcomes,
+        est = mle(qubit_model, sample(qubit_model, 0.8, 10_000, seed=11)[0],
                   domain=(0.0, math.pi))
         assert abs(est.theta - 0.8) < 0.05
 
@@ -205,26 +250,25 @@ class TestMle:
         # N=2 probe |1,+1>, y rotation, counting; oracle: exhaustive grid
         space = SpinSpace(2)
         model = ProbabilityModel(fock(space, 1.0), "y", povm_number_counting(space))
-        outcomes = sample(model, 0.75, 60, seed=31).outcomes
-        est = mle(model, outcomes, domain=(0.05, 1.5))
+        counts = sample(model, 0.75, 60, seed=31)[0]
+        est = mle(model, counts, domain=(0.05, 1.5))
         grid = np.linspace(0.05, 1.5, 1_000_001)
         best, best_val = None, -np.inf
         for chunk in np.array_split(grid, 20):
-            vals = log_likelihood(model, outcomes, chunk)
+            vals = log_likelihood(model, counts, chunk)
             k = int(np.argmax(vals))
             if vals[k] > best_val:
                 best_val, best = float(vals[k]), float(chunk[k])
         assert est.theta == pytest.approx(best, abs=1e-5)
 
     def test_boundary_flagged(self, qubit_model):
-        outcomes = np.zeros(40, dtype=int)  # all 'down': MLE at the upper edge
-        est = mle(qubit_model, outcomes, domain=(0.1, 2.0))
+        est = mle(qubit_model, [40, 0], domain=(0.1, 2.0))  # all 'down': the upper edge
         assert est.boundary
         assert est.theta == pytest.approx(2.0, abs=1e-4)
 
     def test_empty_domain_rejected(self, qubit_model):
         with pytest.raises(DomainError):
-            mle(qubit_model, [0], domain=(1.0, 1.0))
+            mle(qubit_model, [1, 0], domain=(1.0, 1.0))
 
 
 class TestMleMonteCarlo:
@@ -279,20 +323,20 @@ def gaussian_posterior(center=1.2, sigma=0.05, lo=0.0, hi=math.pi, points=4001):
 
 class TestBayes:
     def test_no_data_returns_prior(self, qubit_model):
-        post = bayes_posterior(qubit_model, [], domain=(0.0, math.pi))
+        post = bayes_posterior(qubit_model, [0, 0], domain=(0.0, math.pi))
         assert np.allclose(post.density, post.density[0])
 
     @pytest.mark.parametrize("seed", [8, 21, 1999])
     def test_flat_prior_mode_matches_mle(self, qubit_model, seed):
-        outcomes = sample(qubit_model, 0.8, 300, seed=seed).outcomes
-        post = bayes_posterior(qubit_model, outcomes, domain=(0.0, math.pi))
-        est = mle(qubit_model, outcomes, domain=(0.0, math.pi))
+        counts = sample(qubit_model, 0.8, 300, seed=seed)[0]
+        post = bayes_posterior(qubit_model, counts, domain=(0.0, math.pi))
+        est = mle(qubit_model, counts, domain=(0.0, math.pi))
         cell = post.grid[1] - post.grid[0]
         assert abs(posterior_summaries(post).mode - est.theta) <= cell
 
     def test_large_m_gaussian_width(self, qubit_model):
-        outcomes = sample(qubit_model, 0.8, 1000, seed=3).outcomes
-        post = bayes_posterior(qubit_model, outcomes, domain=(0.0, math.pi))
+        post = bayes_posterior(qubit_model, sample(qubit_model, 0.8, 1000, seed=3)[0],
+                               domain=(0.0, math.pi))
         summary = posterior_summaries(post)
         assert summary.variance == pytest.approx(1e-3, rel=0.15)
 
@@ -339,8 +383,8 @@ class TestBayes:
 
     def test_variance_bound_on_samples(self, qubit_model):
         for s in (1, 2, 3):
-            outcomes = sample(qubit_model, 1.0, 400, seed=s).outcomes
-            post = bayes_posterior(qubit_model, outcomes, domain=(0.0, math.pi))
+            post = bayes_posterior(qubit_model, sample(qubit_model, 1.0, 400, seed=s)[0],
+                                   domain=(0.0, math.pi))
             assert posterior_summaries(post).variance >= bayes_variance_bound(
                 post) * (1 - 1e-3)
 
@@ -354,14 +398,14 @@ class TestBayes:
     def test_first_posterior_equals_stream_zero_posterior(self, ramsey_model):
         rep = bayes_monte_carlo(ramsey_model, 0.6, m=200, trials=3, seed=41,
                                 domain=(0.0, 1.5))
-        draw = sample(ramsey_model, 0.6, 200, seed=41, stream=0)
-        post = bayes_posterior(ramsey_model, draw.outcomes, domain=(0.0, 1.5))
+        counts = sample(ramsey_model, 0.6, 200, seed=41, stream=0)[0]
+        post = bayes_posterior(ramsey_model, counts, domain=(0.0, 1.5))
         assert np.array_equal(rep.first_posterior.grid, post.grid)
         assert np.array_equal(rep.first_posterior.density, post.density)
         assert rep.estimates[0] == posterior_summaries(post).mean
 
     def test_posterior_csv_export(self, qubit_model, tmp_path):
-        post = bayes_posterior(qubit_model, [1, 1, 0], domain=(0.0, math.pi))
+        post = bayes_posterior(qubit_model, [1, 2], domain=(0.0, math.pi))
         buf = io.StringIO()
         write_posterior_csv(post, buf)
         lines = buf.getvalue().splitlines()
@@ -389,33 +433,35 @@ class TestMethodOfMoments:
         i_lo, i_hi = 0, len(mu) - 1
         w = (mu[i_hi] - target) / (mu[i_hi] - mu[i_lo])
         m = 10_000
-        n_lo = int(round(w * m))
-        outcomes = np.array([i_lo] * n_lo + [i_hi] * (m - n_lo))
-        est = method_of_moments(ramsey_model, outcomes, domain=(0.1, 1.2))
-        achieved = float(np.mean(mu[outcomes]))
+        counts = np.zeros(len(mu), dtype=np.int64)
+        counts[i_lo] = round(w * m)
+        counts[i_hi] = m - counts[i_lo]
+        est = method_of_moments(ramsey_model, counts, domain=(0.1, 1.2))
+        achieved = float(mu @ counts / m)
         # the closed form inverts the achieved sample moment to full tolerance
         p_est = ramsey_model.probabilities(est.theta)
         assert float(mu @ p_est) == pytest.approx(achieved, abs=1e-9)
 
     def test_prediction_equals_shot_noise(self, ramsey_model):
-        draw = sample(ramsey_model, 0.6, 10_000, seed=11)
-        est = method_of_moments(ramsey_model, draw.outcomes, domain=(0.1, 1.2))
+        est = method_of_moments(ramsey_model, sample(ramsey_model, 0.6, 10_000, seed=11)[0],
+                                domain=(0.1, 1.2))
         # xi_R^2 = 1 for the coherent state: prediction is the shot-noise variance
         assert est.variance_prediction == pytest.approx(
             1.0 / (10_000 * 20), abs=1e-9)
 
     def test_non_monotone_domain_rejected(self, ramsey_model):
         # <Jz>_phi = -(N/2) sin(phi) turns around at pi/2
-        draw = sample(ramsey_model, 0.3, 100, seed=4)
+        counts = sample(ramsey_model, 0.3, 100, seed=4)[0]
         with pytest.raises(DomainError, match="monotone"):
-            method_of_moments(ramsey_model, draw.outcomes, domain=(0.1, 2.5))
+            method_of_moments(ramsey_model, counts, domain=(0.1, 2.5))
 
     def test_out_of_range_moment(self, ramsey_model):
         space = ramsey_model.space
         # all outcomes at mu = +j: sample moment +10, far outside f over domain
-        outcomes = np.full(50, space.dim - 1)
+        counts = np.zeros(space.dim, dtype=np.int64)
+        counts[-1] = 50
         with pytest.raises(MomentOutOfRangeError):
-            method_of_moments(ramsey_model, outcomes, domain=(0.1, 1.2))
+            method_of_moments(ramsey_model, counts, domain=(0.1, 1.2))
 
     def test_estimate_at_the_domain_end_stays_inside(self):
         # N = 2: the moment -1/2 is <J_z> at pi/6, the low end; with R = <J_x> =
@@ -423,7 +469,7 @@ class TestMethodOfMoments:
         space = SpinSpace(2)
         model = ProbabilityModel(coherent_spin(space, math.pi / 2), "y",
                                  povm_number_counting(space))
-        est = method_of_moments(model, [0, 1], domain=(math.pi / 6, 1.4))
+        est = method_of_moments(model, [1, 1, 0], domain=(math.pi / 6, 1.4))
         assert est.sample_moment == -0.5 and est.theta == math.pi / 6
 
     def test_monte_carlo_spread_matches_prediction(self, ramsey_model):

@@ -110,6 +110,18 @@ class TestClosedFormsAtN4096:
         report = squeezing(probe, ("z", "y", "x"))
         assert report.xi_r_squared == pytest.approx(1.0, rel=1e-10)
 
+    def test_coherent_state_covariance_does_not_cancel_along_the_mean_spin(self):
+        # gram @ p - <J_x>^2 cancelled j^2 to leave -9.3e-10 of an exact 0
+        cov = spin_moments(coherent_spin(SpinSpace(self.N), math.pi / 2)).covariance
+        assert 0.0 <= cov[0, 0] <= 1e-12
+        assert cov[1, 1] == pytest.approx(self.N / 4, rel=1e-12)
+        assert cov[2, 2] == pytest.approx(self.N / 4, rel=1e-12)
+
+    def test_oblique_coherent_state_covariance_is_positive_semidefinite(self):
+        # its smallest eigenvalue, 0 along the mean spin, read -2.9e-9 before
+        cov = spin_moments(coherent_spin(SpinSpace(self.N), 1.1, 0.4)).covariance
+        assert np.linalg.eigvalsh(cov)[0] >= -1e-12
+
 
 def test_pure_probe_moments_allocate_no_dense_operator():
     probe = coherent_spin(SpinSpace(2048), math.pi / 2)

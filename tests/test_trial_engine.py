@@ -2,8 +2,8 @@
 
 Each Monte-Carlo harness draws one count matrix in one `sample(...,
 trials=T)` call (row t from Philox stream t) and refines every trial at
-once; trial t must agree with the single-sample estimator run on
-`sample(..., stream=t)`, with an independent scalar search run one trial at
+once; trial t must agree with the single-sample estimator run on the count
+row `sample(..., stream=t)[0]`, with an independent scalar search run one trial at
 a time (golden section for the MLE, where the engine runs safeguarded
 Newton; bisection over the probability table for the moments, which the
 engine takes in closed form from the probe's spin moments), and with the
@@ -24,7 +24,7 @@ from spinmetro.estimation import (BorderSupportError, DomainError, MomentOutOfRa
                                   StatisticalFailure,
                                   bayes_monte_carlo, bayes_posterior,
                                   bayes_variance_bound, method_of_moments, mle,
-                                  mle_monte_carlo, moments_monte_carlo,
+                                  mle_monte_carlo, moments_monte_carlo, philox_stream,
                                   posterior_summaries, sample)
 from spinmetro.fisher import (P_FLOOR, Povm, ProbabilityModel, povm_diagonal_coefficients,
                               povm_number_counting, povm_probe_projection)
@@ -116,12 +116,20 @@ def moment_case(request):
 
 
 def _draw(model, theta, m, t):
-    return sample(model, theta, m, SEED, stream=t).outcomes
+    return sample(model, theta, m, SEED, stream=t)[0]
 
 
-def _golden_reference(model, outcomes, domain, grid_points=512, tol=1e-7):
+def _inverse_cdf_counts(model, theta, m, seed, stream):
+    """The bincount of the plain inverse-CDF map of each of m draws of one stream,
+    the top edge of the CDF guarded against round-off."""
+    cdf = np.cumsum(model.probabilities(theta))
+    cdf[-1] = max(cdf[-1], 1.0)
+    draws = philox_stream(seed, stream).random(m)
+    return np.bincount(cdf.searchsorted(draws, "right"), minlength=model.n_outcomes)
+
+
+def _golden_reference(model, counts, domain, grid_points=512, tol=1e-7):
     """Scalar grid search plus golden-section refinement, one trial at a time."""
-    counts = np.bincount(outcomes, minlength=model.n_outcomes)
     grid = np.linspace(*domain, grid_points)
     i = int(np.argmax(np.log(np.clip(model.probability_table(grid), P_FLOOR, None)) @ counts))
     a, b = grid[max(i - 1, 0)], grid[min(i + 1, grid_points - 1)]
@@ -144,9 +152,9 @@ def _golden_reference(model, outcomes, domain, grid_points=512, tol=1e-7):
     return 0.5 * (a + b)
 
 
-def _bisection_reference(model, c, outcomes, domain, tol=1e-12):
+def _bisection_reference(model, c, counts, domain, tol=1e-12):
     """Scalar bisection of <M>_phi = sample moment, one trial at a time."""
-    moment = float(np.mean(c[outcomes]))
+    moment = float(c @ counts / counts.sum())
     a, b = domain
     fa = float(model.probabilities(a) @ c) - moment
     while b - a > tol:
@@ -225,11 +233,9 @@ def test_later_trial_moment_out_of_range_still_raises(ramsey):
     # fall outside the range with different moments, and the first one is named
     domain = (0.5, 0.7)
     for t in range(2):
-        method_of_moments(ramsey, sample(ramsey, 0.6, 20, 10, stream=t).outcomes,
-                          domain=domain)
+        method_of_moments(ramsey, sample(ramsey, 0.6, 20, 10, stream=t)[0], domain=domain)
     labels = np.array(ramsey.outcome_labels)
-    moments = [float(np.mean(labels[sample(ramsey, 0.6, 20, 10, stream=t).outcomes]))
-               for t in (2, 6)]
+    moments = [float(labels @ sample(ramsey, 0.6, 20, 10, stream=t)[0] / 20) for t in (2, 6)]
     assert moments[0] != moments[1]
     with pytest.raises(MomentOutOfRangeError,
                        match=re.escape(f"sample moment {moments[0]:.17g} ")):
@@ -239,8 +245,7 @@ def test_later_trial_moment_out_of_range_still_raises(ramsey):
 def test_later_trial_border_support_still_raises(ramsey):
     # seed 1: trial 0's posterior vanishes at the borders, trial 1's does not
     domain = (0.47, 1.2)
-    first = bayes_posterior(ramsey, sample(ramsey, 0.6, 100, 1, stream=0).outcomes,
-                            domain=domain)
+    first = bayes_posterior(ramsey, sample(ramsey, 0.6, 100, 1)[0], domain=domain)
     bayes_variance_bound(first)
     with pytest.raises(BorderSupportError):
         bayes_monte_carlo(ramsey, 0.6, 100, 4, 1, domain=domain)
@@ -325,8 +330,9 @@ def test_harness_samples_every_trial_from_one_table_row(harness, ramsey, table_c
         per_run.append(len(table_calls))
         ((args, kwargs, counts),) = sample_calls
         assert kwargs == {"trials": trials} and counts.shape == (trials, ramsey.n_outcomes)
+        model, theta, m, seed = args
         for t in range(trials):
-            assert np.array_equal(counts[t], original(*args, stream=t).counts())
+            assert np.array_equal(counts[t], _inverse_cdf_counts(model, theta, m, seed, t))
     # both runs are one block: at most 5 fixed passes (P at theta_true for the draws,
     # the grid, P and dP there for the bound), plus Newton steps whose number depends
     # on the data but never exceeds their cap; the moments make the first pass alone
@@ -381,6 +387,31 @@ def test_large_n_mle_blocks_match_single_sample_rows():
         assert rep.estimates[t] == mle(model, _draw(model, 0.7, 100, t), domain=domain).theta
 
 
+@pytest.fixture(scope="module")
+def twin_fock_1000():
+    # N |domain| = 1500 > 128 pi: the grid takes ceil(4 N |domain| / pi) = 1910 points
+    space = SpinSpace(1000)
+    model = ProbabilityModel(twin_fock(space), "y", povm_number_counting(space))
+    return model, mle_monte_carlo(model, 0.7, 100, 200, 3, domain=(0.0, 1.5))
+
+
+def test_mle_grid_resolves_the_twin_fock_fringes_at_n1000(twin_fock_1000):
+    # 512 points, about one per pi/N, gave var/CRLB = 449
+    _, rep = twin_fock_1000
+    assert 0.5 <= rep.variance / rep.crlb <= 3.0
+
+
+def test_no_mle_falls_below_a_ten_times_finer_grid(twin_fock_1000):
+    model, rep = twin_fock_1000
+    counts = sample(model, 0.7, 100, 3, trials=200)
+    finest = np.full(len(counts), -np.inf)
+    for chunk in np.array_split(np.linspace(0.0, 1.5, 19_100), 20):
+        logp = np.log(np.clip(model.probability_table(chunk), P_FLOOR, None))
+        finest = np.maximum(finest, np.max(counts @ logp.T, axis=1))
+    logp = np.log(np.clip(model.probability_table(rep.estimates), P_FLOOR, None))
+    assert np.all(np.einsum("tk,tk->t", logp, counts) >= finest - 1e-6)
+
+
 @pytest.mark.parametrize("n", [4, 20, 250])
 def test_estimates_match_coherent_closed_form(n):
     # css about y with counting: <J_z> = -j sin(theta), and J_z is binomial, so the
@@ -425,7 +456,8 @@ def test_moment_prediction_where_the_mean_spin_is_perpendicular_to_z_is_xi_r_squ
     assert abs(report.xi_r_squared - 1.0) > 0.05
     m = 400
     zero = space.index_of(0.0)  # the sample moment 0 is <J_z> where <J> is along x
-    est = method_of_moments(model, np.full(m, zero), domain=(-0.9, 0.9))
+    est = method_of_moments(model, m * np.eye(space.dim, dtype=np.int64)[zero],
+                            domain=(-0.9, 0.9))
     assert float(model.probabilities(est.theta) @ space.mu) == pytest.approx(0.0,
                                                                              abs=1e-12)
     assert m * est.variance_prediction == pytest.approx(
@@ -505,8 +537,9 @@ FIXED_P = {
        trials=st.integers(1, 2 * estimation._TRIAL_BLOCK + 1),
        high=st.booleans(), data=st.data())
 def test_count_matrix_rows_match_single_stream_samples(case, seed, m, trials, high, data):
-    # one batch of `trials` streams against one `sample` per stream, over more than
-    # one block of _TRIAL_BLOCK trials, from stream 0 or from near the top stream
+    # one batch of `trials` streams against the plain inverse-CDF map of each stream's
+    # draws, over more than one block of _TRIAL_BLOCK trials, from stream 0 or from
+    # near the top stream
     if case == "ramsey":
         space = SpinSpace(20)
         model = ProbabilityModel(coherent_spin(space, math.pi / 2), "y",
@@ -517,7 +550,7 @@ def test_count_matrix_rows_match_single_stream_samples(case, seed, m, trials, hi
     counts = sample(model, 0.6, m, seed, first, trials=trials)
     assert counts.shape == (trials, model.n_outcomes)
     for t in range(trials):
-        assert np.array_equal(counts[t], sample(model, 0.6, m, seed, first + t).counts())
+        assert np.array_equal(counts[t], _inverse_cdf_counts(model, 0.6, m, seed, first + t))
 
 
 def test_count_matrix_checks_its_last_stream(ramsey):
