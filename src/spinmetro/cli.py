@@ -10,11 +10,13 @@ statistical-run failure, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,8 @@ from .fisher import (ProbabilityModel, bound_heisenberg, bound_shot_noise,
                      fisher_scan, optimal_axis, povm_number_counting,
                      povm_probe_projection, qfi, spin_moments)
 from .linalg import NumericalError
-from .reporting import csv_text, json_safe, posterior_table, trial_table
+from .reporting import (csv_text, json_safe, plain_finite_numbers, posterior_table,
+                        trial_table)
 from .spins import SpinAxis, SpinSpace
 from .states import (PureState, coherent_spin, fock, ghz_along, mix, noon,
                      state_from_json, twin_fock)
@@ -408,11 +411,13 @@ def _colon_arg(*casts):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """One flat parser: the command and the options may come in any order.  Each
     flag's dest is the RunConfig field it sets, apart from --config and the flags
     that set one entry of the probe spec or of squeeze_axes; a flag not given
-    leaves no attribute."""
+    leaves no attribute.  Built once per process and shared by every caller, who
+    may parse with it (parsing leaves it unchanged) but must not change it."""
     parser = argparse.ArgumentParser(
         prog="spinmetro",
         description="SU(2) interferometer sensitivity toolkit (all angles in radians)",
@@ -475,6 +480,34 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return config.validate()
 
 
+def json_text(value, indent: str = "") -> str:
+    """`value` as json.dumps(value, indent=2, sort_keys=True) writes it, byte for byte,
+    for the values json_safe returns: string keys and finite floats.
+    CPython runs json.dumps in its pure-Python encoder whenever `indent` is set;
+    this writer joins each list of plain numbers with one call."""
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{_json_string(k)}: {json_text(v, inner)}" for k, v in sorted(value.items())]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = (map(repr, value) if plain_finite_numbers(value)
+                 else [json_text(v, inner) for v in value])
+        brackets = "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not value:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def run(config: RunConfig) -> str:
     """Execute one command and return the rendered output text."""
     results, header, rows = COMMANDS[config.command](config)
@@ -487,7 +520,7 @@ def run(config: RunConfig) -> str:
             "config": config.to_json(),
             "results": json_safe(results),
         }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json_text(payload) + "\n"
     if config.out:
         try:
             Path(config.out).write_text(text, encoding="utf-8", newline="")

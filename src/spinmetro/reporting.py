@@ -63,16 +63,32 @@ def write_posterior_csv(post, path_or_file) -> None:
     write_csv(path_or_file, *posterior_table(post))
 
 
+_PLAIN_NUMBERS = frozenset((int, float))
+
+
+def plain_finite_numbers(items) -> bool:
+    """Whether every item is an int or a finite float, not a bool or a numpy scalar."""
+    kinds = set(map(type, items))
+    if not kinds <= _PLAIN_NUMBERS:
+        return False
+    try:  # a sum is finite only if every term is; one that overflows takes the slow path
+        return float not in kinds or math.isfinite(sum(items))
+    except OverflowError:  # an int too large for a float, next to a float
+        return False
+
+
 def json_safe(value):
     """Recursively convert numpy scalars/arrays and non-finite floats for JSON."""
     if isinstance(value, dict):
         return {k: json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
+        if plain_finite_numbers(value):
+            return list(value)  # what the element-wise path gives, in one call
         return [json_safe(v) for v in value]
     if isinstance(value, np.ndarray):
         if value.dtype.kind == "f" and np.isfinite(value).all():
             return value.tolist()  # what the element-wise path gives, in one call
-        return [json_safe(v) for v in value.tolist()]
+        return json_safe(value.tolist())  # a 0-d array's tolist() is a scalar
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.floating, float)):

@@ -1,18 +1,33 @@
 import argparse
 import dataclasses
+import importlib.util
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spinmetro import __version__, cli, fisher, spins
 from spinmetro.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_STATISTICAL,
-                           N_MAX, RunConfig, build_parser, config_from_args, main, run)
+                           N_MAX, RunConfig, build_parser, config_from_args, json_text,
+                           main, run)
 from spinmetro.reporting import json_safe
 from spinmetro.spins import SpinSpace
 from spinmetro.states import state_to_json, twin_fock
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+_golden_spec = importlib.util.spec_from_file_location("golden", ROOT / "scripts" / "golden.py")
+golden = importlib.util.module_from_spec(_golden_spec)
+_golden_spec.loader.exec_module(golden)
 
 
 def run_cli(tmp_path, *argv, out_name=None):
@@ -543,11 +558,85 @@ def test_depth_matches_closed_forms(capsys, n):
     np.array([[np.inf, 1.0], [-np.inf, np.nan]]),
     np.arange(-2, 3),
     np.array([[True, False]]),
-], ids=["finite", "float32-2d", "nan", "inf-2d", "int", "bool"])
+    [3, 0.5, -0.0, 5e-324, 10**30],
+    (1, 2.5, -7),
+    [1, 2.5, True, False],
+    (0.5, math.nan, 2),
+    [1.0, -math.inf, 3],
+    [1e308, 1e308, -2],
+    [10**400, 0.5],
+    [np.float64(1.5), 2.0, np.int64(3)],
+    (),
+], ids=["finite", "float32-2d", "nan", "inf-2d", "int", "bool", "list-numbers",
+        "tuple-numbers", "list-bools", "tuple-nan", "list-inf", "list-sum-overflows",
+        "list-int-beyond-float", "list-numpy-scalars", "empty-tuple"])
 def test_json_safe_array_matches_the_element_wise_path(array):
-    got, want = json_safe(array), [json_safe(v) for v in array.tolist()]
+    items = array.tolist() if isinstance(array, np.ndarray) else array
+    got, want = json_safe(array), [json_safe(v) for v in items]
     assert got == want
     assert json.dumps(got) == json.dumps(want)
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", list(golden.invocations()))
+def test_every_golden_report_is_the_json_dumps_layout(name):
+    text = golden.render(golden.invocations()[name], "json")
+    assert text == _dumps(json.loads(text)) + "\n"
+
+
+_special_floats = st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e308, -1.7976931348623157e308,
+                                   math.nan, math.inf, -math.inf])
+_leaves = st.one_of(
+    st.floats(), _special_floats, st.integers(), st.sampled_from([10**400, -(10**30)]),
+    st.booleans(), st.none(), st.text(),
+    st.sampled_from(["é→∑", "\x00\x1f\x7f", "tab\tquote\"slash\\", "\ud800", "😀"]),
+    st.builds(np.float64, st.floats()), st.builds(np.float32, st.floats(width=32)),
+    st.builds(np.int64, st.integers(-2**63, 2**63 - 1)), st.builds(np.bool_, st.booleans()),
+    hnp.arrays(st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+               hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3)),
+)
+_trees = st.recursive(_leaves, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=4), children, max_size=4)), max_leaves=12)
+
+
+@settings(max_examples=400)
+@given(_trees)
+def test_json_text_is_json_dumps_with_indent_and_sorted_keys(value):
+    safe = json_safe(value)
+    assert json_text(safe) == _dumps(safe)
+
+
+def test_one_parser_per_process_keeps_no_state_between_calls(capsys):
+    assert build_parser() is build_parser()
+    argv = ["bounds", "--n", "5", "--m", "2"]
+    assert main([*argv, "--seed", "5", "--trials", "3"]) == EXIT_OK
+    first = json.loads(capsys.readouterr().out)["config"]
+    assert main(argv) == EXIT_OK
+    second = json.loads(capsys.readouterr().out)["config"]
+    assert (first["seed"], first["trials"]) == (5, 3)
+    assert (second["seed"], second["trials"]) == (0, 1)
+    assert {k: v for k, v in first.items() if k not in ("seed", "trials")} == \
+        {k: v for k, v in second.items() if k not in ("seed", "trials")}
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--m", "two"])
+    assert exit_info.value.code == EXIT_CONFIG
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    fresh = subprocess.run([sys.executable, "-m", "spinmetro.cli", *argv], env=SRC_ENV,
+                           capture_output=True, text=True, check=True)
+    assert capsys.readouterr().out == fresh.stdout
+
+
+def test_import_spinmetro_loads_neither_json_nor_argparse():
+    """Both come with the CLI; a library import (and setup time) goes without them."""
+    code = "import sys, spinmetro; print(sorted({'json', 'argparse'} & sys.modules.keys()))"
+    done = subprocess.run([sys.executable, "-c", code], env=SRC_ENV,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_every_parser_dest_is_a_config_field():
