@@ -30,7 +30,6 @@ from .fisher import (EigenvalueCrossingError, FisherReport, Povm,
                      qfi_pure, qfi_unitary, sld, spin_moments)
 from .linalg import (NumericalError, SpectralDecomposition, eig_hermitian,
                      expm_generator, max_eig_sym3)
-from .reporting import write_posterior_csv, write_trials_csv
 from .spins import (ReducedAccuracyWarning, SpinAxis, SpinSpace,
                     beam_splitter, casimir, mach_zehnder, op_j, op_jx,
                     op_jy, op_jz, phase_shifter, rotation, wigner_d,

@@ -78,10 +78,33 @@ def _axis(spec) -> SpinAxis:
         raise ConfigError(f"bad axis: {err}") from err
 
 
-def _spec(spec) -> dict:
+def _check_probe(spec, axis) -> None:
+    """Reject a probe spec whose kind is unknown, that holds a key its kind does not
+    read, or whose ghz axis is bad; each mix-spec component holds exactly a 'weight'
+    and a 'probe' spec, checked the same way."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("probe spec must be an object with a 'kind'")
-    return spec
+    kind = spec["kind"]
+    reads = {"fock": ("mu",), "css": ("polar", "azimuth"), "noon": (), "twin-fock": (),
+             "ghz": ("axis",), "mix-spec": ("components",), "state-file": ("path",)}
+    if not isinstance(kind, str) or kind not in reads:
+        raise ConfigError(f"unknown probe kind {kind!r}")
+    unread = sorted(spec.keys() - {"kind", *reads[kind]})
+    if unread:
+        raise ConfigError(f"probe kind {kind!r} reads no key {', '.join(map(repr, unread))} "
+                          f"(it reads {', '.join(reads[kind]) or 'none'})")
+    if kind == "ghz":
+        _axis(spec.get("axis", axis))
+    if kind == "mix-spec":
+        comps = spec.get("components")
+        if not comps or not isinstance(comps, list):
+            raise ConfigError("mix-spec probe needs a 'components' list")
+        for comp in comps:
+            if not isinstance(comp, dict) or comp.keys() != {"weight", "probe"}:
+                got = sorted(comp) if isinstance(comp, dict) else comp
+                raise ConfigError("each mix-spec component holds exactly a 'weight' and a "
+                                  f"'probe', got {got!r}")
+            _check_probe(comp["probe"], axis)
 
 
 #: the fields each command needs beyond the defaults (m: at least 1), and the flag
@@ -146,7 +169,7 @@ class RunConfig:
         if self.out and not Path(self.out).parent.is_dir():  # permissions show at write time
             raise ConfigError(f"cannot write {self.out!r}: its directory does not exist")
         _axis(self.axis)
-        _axis(_spec(self.probe).get("axis", self.axis))  # a ghz probe's own axis
+        _check_probe(self.probe, self.axis)
         self.squeeze_axes = _fields(self.squeeze_axes, 3, "squeeze_axes")
         for a in self.squeeze_axes:
             _axis(a)
@@ -160,6 +183,8 @@ class RunConfig:
             value = getattr(self, key)
             if value is None or (key == "m" and value < 1):
                 raise ConfigError(f"{self.command} needs {_NEEDS[key]}")
+        if self.command == "bayes" and self.m == 0 and self.trials != 1:
+            raise ConfigError("bayes --m 0 is the flat prior, one posterior: --trials must be 1")
         return self
 
     def to_json(self) -> dict:
@@ -171,8 +196,9 @@ def build_probe(config: RunConfig):
 
 
 def _probe(space: SpinSpace, spec, axis):
-    """The state a probe spec names; a mix-spec builds each component the same way."""
-    kind = _spec(spec)["kind"]
+    """The state a probe spec checked by `_check_probe` names; a mix-spec builds each
+    component the same way."""
+    kind = spec["kind"]
     if kind == "fock":
         return fock(space, _real(spec.get("mu", space.j), "mu"))
     if kind == "css":
@@ -185,28 +211,20 @@ def _probe(space: SpinSpace, spec, axis):
     if kind == "ghz":
         return ghz_along(space, _axis(spec.get("axis", axis)))
     if kind == "mix-spec":
-        comps = spec.get("components")
-        if not comps or not isinstance(comps, list):
-            raise ConfigError("mix-spec probe needs a 'components' list")
-        parts = []
-        for comp in comps:
-            if not isinstance(comp, dict) or not {"weight", "probe"} <= comp.keys():
-                raise ConfigError("each mix-spec component needs a 'weight' and a 'probe'")
-            parts.append((_real(comp["weight"], "mix-spec weight"),
-                          _probe(space, comp["probe"], axis)))
-        return mix(parts)
+        return mix([(_real(comp["weight"], "mix-spec weight"), _probe(space, comp["probe"], axis))
+                    for comp in spec["components"]])
     if kind == "state-file":
         path = spec.get("path")
         if not path or not isinstance(path, str):
             raise ConfigError("state-file probe needs a 'path'")
         try:
-            state = state_from_json(json.loads(Path(path).read_text()))
+            obj = json.loads(Path(path).read_text())
+            if obj["n_particles"] == space.n_particles:  # compared before rho is decomposed
+                return state_from_json(obj)
         except (OSError, KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"state file {path!r}: {err!r}") from err
-        if state.space.n_particles != space.n_particles:
-            raise ConfigError(f"state file {path!r} holds N = {state.space.n_particles} "
-                              f"particles, but n_particles is {space.n_particles}")
-        return state
+        raise ConfigError(f"state file {path!r} holds N = {obj['n_particles']!r} "
+                          f"particles, but n_particles is {space.n_particles}")
     raise ConfigError(f"unknown probe kind {kind!r}")
 
 

@@ -80,49 +80,47 @@ def useful_entanglement(fisher_value: float, n: int) -> bool:
     return fisher_value > n
 
 
-def k_bound(n: int, k: int, h_range: float = 1.0) -> float:
-    """Fisher ceiling of k-producible states: (h_range)^2 (s k^2 + r^2)."""
+def k_bound(n: int, k: int) -> float:
+    """Fisher ceiling of k-producible states of N two-level particles: s k^2 + r^2."""
     if not 1 <= k <= n:
         raise ValueError(f"k={k} must lie in [1, {n}]")
     s, r = divmod(n, k)
-    return h_range**2 * (s * k**2 + r**2)
+    return float(s * k**2 + r**2)
 
 
 @dataclass(frozen=True)
 class DepthReport:
-    """Entanglement-depth classification against the k-producibility staircase."""
+    """Entanglement-depth classification against the k-producibility staircase
+    of N two-level particles."""
 
     n_particles: int
     fisher_value: float
     fisher_source: str
-    h_range: float
     bounds: tuple  # rows (k, s, r, bound)
     depth: int
 
 
-def entanglement_depth(fisher_value: float, n: int, h_range: float = 1.0,
-                       fisher_source: str = "F") -> DepthReport:
+def entanglement_depth(fisher_value: float, n: int, fisher_source: str = "F") -> DepthReport:
     """Smallest depth d whose k-producibility bound accommodates the value.
 
     A value on a bound is classified as compatible with that k; "on" allows
     1e-9 of slack so a numerically computed QFI (e.g. N + 4e-15 for a
     coherent state) does not tip over a ceiling it sits on.  The report
-    carries the whole staircase; `fisher_source` records whether a
-    measurement-specific F or the QFI was supplied (the F-based witness
-    implies the QFI-based one, not conversely).
+    carries the whole staircase, up to the ceiling N^2; `fisher_source` records
+    whether a measurement-specific F or the QFI was supplied (the F-based
+    witness implies the QFI-based one, not conversely).
     """
-    ceiling = n**2 * h_range**2
+    ceiling = float(n**2)
     if not 0 <= fisher_value <= ceiling + 1e-9:
         raise ValueError(
             f"Fisher value {fisher_value} is infeasible for N={n} "
             f"(ceiling {ceiling})"
         )
-    rows = [(k, *divmod(n, k), k_bound(n, k, h_range)) for k in range(1, n + 1)]
+    rows = [(k, *divmod(n, k), k_bound(n, k)) for k in range(1, n + 1)]
     # the k = n bound is the ceiling, so the feasibility check guarantees a match
     depth = next(k for k, _, _, bound in rows if fisher_value <= bound + 1e-9)
     return DepthReport(n_particles=n, fisher_value=float(fisher_value),
-                       fisher_source=fisher_source, h_range=float(h_range),
-                       bounds=tuple(rows), depth=depth)
+                       fisher_source=fisher_source, bounds=tuple(rows), depth=depth)
 
 
 def write_staircase_csv(report: DepthReport, path_or_file) -> None:

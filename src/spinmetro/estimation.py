@@ -198,40 +198,35 @@ def log_likelihood(model: ProbabilityModel, counts, phi):
 @dataclass(frozen=True)
 class MleEstimate:
     theta: float
-    log_likelihood: float
     boundary: bool
 
 
-#: Newton steps per block before a refinement gives up (bisection alone needs far fewer)
+#: Newton steps before a refinement gives up (bisection alone needs far fewer)
 _NEWTON_STEPS = 64
 
 
 def _newton(g, x, a, b, step_tol, width_tol):
     """Row-wise roots of increasing functions in brackets [a, b], from x, in place.
 
-    `g(rows, x)` gives the values and slopes of the functions `rows` at x;
-    each call covers the open rows of one block of _TRIAL_BLOCK rows.  Each
-    value's sign moves its bracket to x and an exact zero keeps x; a step
-    outside the bracket (inclusive) or a slope <= 0 bisects it.  A row stops
-    once its step is <= step_tol or its bracket <= width_tol.
+    `g(rows, x)` gives the values and slopes of the functions `rows` at x, for
+    the rows still open.  Each value's sign moves its bracket to x and an exact
+    zero keeps x; a step outside the bracket (inclusive) or a slope <= 0 bisects
+    it.  A row stops once its step is <= step_tol or its bracket <= width_tol.
     """
-    for start in range(0, x.size, _TRIAL_BLOCK):
-        rows = np.arange(start, min(start + _TRIAL_BLOCK, x.size))
-        for _ in range(_NEWTON_STEPS):
-            xr = x[rows]
-            val, slope = g(rows, xr)
-            ar = a[rows] = np.where(val < 0, xr, a[rows])
-            br = b[rows] = np.where(val > 0, xr, b[rows])
-            new = xr - val / np.where(slope > 0, slope, np.inf)
-            bisect = (slope <= 0) | ~((ar <= new) & (new <= br))
-            x[rows] = new = np.where(val == 0, xr, np.where(bisect, 0.5 * (ar + br), new))
-            rows = rows[(np.abs(new - xr) > step_tol) & (br - ar > width_tol)]
-            if not rows.size:
-                break
-        else:
-            raise StatisticalFailure(
-                f"{rows.size} trials did not converge in {_NEWTON_STEPS} Newton steps")
-    return x
+    rows = np.arange(x.size)
+    for _ in range(_NEWTON_STEPS):
+        xr = x[rows]
+        val, slope = g(rows, xr)
+        ar = a[rows] = np.where(val < 0, xr, a[rows])
+        br = b[rows] = np.where(val > 0, xr, b[rows])
+        new = xr - val / np.where(slope > 0, slope, np.inf)
+        bisect = (slope <= 0) | ~((ar <= new) & (new <= br))
+        x[rows] = new = np.where(val == 0, xr, np.where(bisect, 0.5 * (ar + br), new))
+        rows = rows[(np.abs(new - xr) > step_tol) & (br - ar > width_tol)]
+        if not rows.size:
+            return x
+    raise StatisticalFailure(
+        f"{rows.size} trials did not converge in {_NEWTON_STEPS} Newton steps")
 
 
 def _mle_refine(model, counts, domain):
@@ -239,27 +234,30 @@ def _mle_refine(model, counts, domain):
 
     Every P_k is a trigonometric polynomial of degree <= N in phi, so no
     feature is narrower than about pi/N: the grid takes max(MLE_GRID,
-    ceil(4 N |domain| / pi)) points, four per pi/N.  The grid stage takes one
-    product per block of trials.  From each trial's best grid point,
-    safeguarded Newton on the score S = sum n P'/P in [best - 1, best + 1],
-    with S' = sum n (P''/P - (P'/P)^2) and no term from outcomes with
-    P <= P_FLOOR, stops once a step is <= 1e-10 or the bracket <= MLE_TOL.
+    ceil(4 N |domain| / pi)) points, four per pi/N.  Block by block of _TRIAL_BLOCK
+    trials, one product gives the grid stage, and from each trial's best grid point
+    safeguarded Newton on the score S = sum n P'/P in [best - 1, best + 1], with
+    S' = sum n (P''/P - (P'/P)^2) and no term from outcomes with P <= P_FLOOR,
+    stops once a step is <= 1e-10 or the bracket <= MLE_TOL.
     """
     lo, hi = _interval(domain)
     points = max(MLE_GRID, math.ceil(4 * model.space.n_particles * (hi - lo) / math.pi))
     grid = np.linspace(lo, hi, points)
     logp_grid = _log_table(model, grid)
-    best = np.concatenate([np.argmax(counts[i:i + _TRIAL_BLOCK] @ logp_grid.T, axis=1)
-                           for i in range(0, len(counts), _TRIAL_BLOCK)])
 
-    def minus_score(rows, x):
+    def minus_score(rows, x):  # rows of the block being refined
         p, dp, d2p = model._tables(x, 2)
         inv = np.divide(1.0, p, out=np.zeros_like(p), where=p > P_FLOOR)
-        ratio, n = dp * inv, counts[rows]
+        ratio, n = dp * inv, block[rows]
         return -_vecdot(ratio, n), _vecdot(ratio ** 2 - d2p * inv, n)
 
-    est = _newton(minus_score, grid[best], grid[np.maximum(best - 1, 0)],
-                  grid[np.minimum(best + 1, points - 1)], 1e-10, MLE_TOL)
+    est = np.empty(len(counts))
+    for start in range(0, len(counts), _TRIAL_BLOCK):
+        block = counts[start:start + _TRIAL_BLOCK]
+        best = np.argmax(block @ logp_grid.T, axis=1)
+        est[start:start + _TRIAL_BLOCK] = _newton(
+            minus_score, grid[best], grid[np.maximum(best - 1, 0)],
+            grid[np.minimum(best + 1, points - 1)], 1e-10, MLE_TOL)
     boundary = (est - lo < 2 * MLE_TOL) | (hi - est < 2 * MLE_TOL)
     return est, boundary
 
@@ -272,9 +270,8 @@ def mle(model: ProbabilityModel, counts, domain=DEFAULT_DOMAIN) -> MleEstimate:
     maximum on the domain boundary is flagged but still returned.
     """
     counts = _count_row(model, counts, 1)
-    est, (boundary,) = _mle_refine(model, counts[None, :], domain)
-    (loglik,) = _vecdot(_log_table(model, est), counts)
-    return MleEstimate(theta=float(est[0]), log_likelihood=float(loglik), boundary=bool(boundary))
+    (est,), (boundary,) = _mle_refine(model, counts[None, :], domain)
+    return MleEstimate(theta=float(est), boundary=bool(boundary))
 
 
 @dataclass(frozen=True)
@@ -282,10 +279,8 @@ class EstimationReport:
     """Monte-Carlo trial statistics for one estimator; the moment harness also
     keeps each trial's predicted variance."""
 
-    estimator: str
     theta_true: float
     m: int
-    seed: int
     estimates: np.ndarray
     crlb: float
     boundary_fraction: float = 0.0
@@ -334,8 +329,8 @@ def mle_monte_carlo(model: ProbabilityModel, theta_true: float, m: int, trials: 
     counts = sample(model, theta_true, m, seed, trials=trials)
     estimates, boundary = _mle_refine(model, counts, domain)
     return EstimationReport(
-        estimator="mle", theta_true=float(theta_true), m=int(m), seed=int(seed),
-        estimates=estimates, crlb=_crlb(model, theta_true, m),
+        theta_true=float(theta_true), m=int(m), estimates=estimates,
+        crlb=_crlb(model, theta_true, m),
         boundary_fraction=int(np.count_nonzero(boundary)) / trials,
     )
 
@@ -420,9 +415,8 @@ def bayes_posterior(model: ProbabilityModel, counts,
     exp(L - max), trapezoid-normalised.  The all-zero row gives the flat prior."""
     grid = np.linspace(*_interval(domain), BAYES_GRID)
     counts = _count_row(model, counts)
-    logpost = (_log_likelihoods(_log_table(model, grid), counts[None, :]) if counts.any()
-               else np.zeros((1, BAYES_GRID)))
-    density, failures = _normalised(grid, logpost)
+    density, failures = _normalised(grid, _log_likelihoods(_log_table(model, grid),
+                                                           counts[None, :]))
     _raise_first(failures)
     return PosteriorDistribution(grid=grid, density=density[0])
 
@@ -508,7 +502,6 @@ class BayesReport:
 
     theta_true: float
     m: int
-    seed: int
     estimates: np.ndarray
     posterior_variances: np.ndarray
     g_values: np.ndarray
@@ -550,10 +543,9 @@ def bayes_monte_carlo(model: ProbabilityModel, theta_true: float, m: int, trials
         _raise_first(failures + more)
         if start == 0:
             first = PosteriorDistribution(grid=grid, density=density[0])
-    return BayesReport(theta_true=float(theta_true), m=int(m), seed=int(seed),
-                       estimates=estimates, posterior_variances=variances,
-                       g_values=1.0 / bounds, crlb=_crlb(model, theta_true, m),
-                       first_posterior=first)
+    return BayesReport(theta_true=float(theta_true), m=int(m), estimates=estimates,
+                       posterior_variances=variances, g_values=1.0 / bounds,
+                       crlb=_crlb(model, theta_true, m), first_posterior=first)
 
 
 @dataclass(frozen=True)
@@ -636,8 +628,8 @@ def moments_monte_carlo(model: ProbabilityModel, theta_true: float, m: int, tria
     counts = sample(model, theta_true, m, seed, trials=trials)
     _, estimates, spread = _jz_moments(model, counts, domain)
     return EstimationReport(
-        estimator="moments", theta_true=float(theta_true), m=int(m), seed=int(seed),
-        estimates=estimates, crlb=float(spread(np.array([float(theta_true)]))[0] / m),
+        theta_true=float(theta_true), m=int(m), estimates=estimates,
+        crlb=float(spread(np.array([float(theta_true)]))[0] / m),
         variance_predictions=spread(estimates) / m,
     )
 

@@ -588,23 +588,21 @@ def qfi_family(family, theta: float, step: float = 1e-5) -> float:
     return float(term1 + 2.0 * np.sum(_spectral_weight(p0) * np.abs(overlap) ** 2))
 
 
-def bound_shot_noise(n: int, m: int = 1, h_range: float = 1.0) -> float:
-    """Best phase sensitivity of separable probes: 1/(sqrt(N m) |h_max-h_min|)."""
-    _check_bound_args(n, m, h_range)
-    return 1.0 / (math.sqrt(n * m) * h_range)
+def bound_shot_noise(n: int, m: int = 1) -> float:
+    """Best phase sensitivity of separable probes of N two-level particles: 1/sqrt(N m)."""
+    _check_bound_args(n, m)
+    return 1.0 / math.sqrt(n * m)
 
 
-def bound_heisenberg(n: int, m: int = 1, h_range: float = 1.0) -> float:
-    """Ultimate phase sensitivity: 1/(N sqrt(m) |h_max-h_min|)."""
-    _check_bound_args(n, m, h_range)
-    return 1.0 / (n * math.sqrt(m) * h_range)
+def bound_heisenberg(n: int, m: int = 1) -> float:
+    """Ultimate phase sensitivity of N two-level particles: 1/(N sqrt(m))."""
+    _check_bound_args(n, m)
+    return 1.0 / (n * math.sqrt(m))
 
 
-def _check_bound_args(n, m, h_range):
+def _check_bound_args(n, m):
     if n < 1 or m < 1:
         raise ValueError("n and m must both be >= 1")
-    if not h_range > 0:
-        raise ValueError("h_range must be positive")
 
 
 def povm_diagonal_coefficients(povm: Povm, observable: np.ndarray) -> np.ndarray:
@@ -667,23 +665,15 @@ def fisher_lower_bound_moment(
 
     For a unitary family this equals |<[M, H]>|^2/(Delta M)^2 by the
     Ehrenfest theorem.  The observable must be diagonal in the POVM basis of
-    the model; a vanishing variance leaves the bound undefined.
+    the model, M = sum_eps c_eps E(eps), so (Delta M)^2 and d<M>/dtheta come
+    from one row of P and dP; a vanishing variance leaves the bound undefined.
     """
     c = povm_diagonal_coefficients(model.povm, observable)
-    var, slope = moment_statistics(c, *model._tables([theta], 1)[:, 0])
+    p, dp = model._tables([theta], 1)[:, 0]
+    var = _vecdot((c - _vecdot(p, c)) ** 2, p)
     if var < P_FLOOR:
         raise ValueError("zero variance of the observable: moment bound undefined")
-    return float(slope**2 / var)
-
-
-def moment_statistics(c: np.ndarray, p: np.ndarray, dp: np.ndarray):
-    """(Delta M)^2 and d<M>/dtheta of M = sum_eps c_eps E(eps) from rows p, dp or tables of them.
-
-    Row-wise dot products give a row of a table the same bits as the row alone.
-    """
-    mean = _vecdot(p, c)
-    var = _vecdot((c - np.expand_dims(mean, -1)) ** 2, p)
-    return var, _vecdot(dp, c)
+    return float(_vecdot(dp, c) ** 2 / var)
 
 
 def optimal_axis(probe: State | SpinMoments) -> tuple[SpinAxis, float]:

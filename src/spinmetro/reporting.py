@@ -53,16 +53,6 @@ def posterior_table(post):
     return ("grid_phi", "posterior_density"), list(zip(post.grid, post.density))
 
 
-def write_trials_csv(report, path_or_file) -> None:
-    """Per-trial estimates: columns (trial, estimate)."""
-    write_csv(path_or_file, *trial_table(report.estimates))
-
-
-def write_posterior_csv(post, path_or_file) -> None:
-    """Posterior trace: columns (grid_phi, posterior_density)."""
-    write_csv(path_or_file, *posterior_table(post))
-
-
 _PLAIN_NUMBERS = frozenset((int, float))
 
 

@@ -15,13 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spinmetro import __version__, cli, fisher, spins
+from spinmetro import __version__, cli, fisher, spins, states
 from spinmetro.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_STATISTICAL,
                            N_MAX, RunConfig, build_parser, config_from_args, json_text,
                            main, run)
 from spinmetro.reporting import json_safe
 from spinmetro.spins import SpinSpace
-from spinmetro.states import state_to_json, twin_fock
+from spinmetro.states import mix, noon, state_to_json, twin_fock
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -406,6 +406,71 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "N = 4" in err and "n_particles is 10" in err
         assert main([command, "--n", "4", "--config", str(config_file)]) == EXIT_OK
+
+    def test_state_file_with_other_n_is_refused_before_rho_is_decomposed(
+            self, tmp_path, capsys, monkeypatch):
+        state_file = tmp_path / "state.json"
+        mixed = mix([(0.5, noon(SpinSpace(4))), (0.5, twin_fock(SpinSpace(4)))])
+        state_file.write_text(json.dumps(state_to_json(mixed)))
+        config_file = tmp_path / "probe.json"
+        config_file.write_text(json.dumps({"probe": {"kind": "state-file",
+                                                     "path": str(state_file)}}))
+
+        def decomposed(*args, **kwargs):
+            raise AssertionError("the state file's rho was decomposed")
+
+        monkeypatch.setattr(states, "eig_hermitian", decomposed)
+        assert main(["qfi", "--n", "10", "--config", str(config_file)]) == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: state file") and "N = 4" in line
+        with pytest.raises(AssertionError, match="decomposed"):  # the right N reaches it
+            main(["qfi", "--n", "4", "--config", str(config_file)])
+
+    @pytest.mark.parametrize("trials", ["5", "2"])
+    def test_flat_prior_takes_one_trial(self, nothing_built, capsys, trials):
+        argv = ["bayes", "--n", "6", "--m", "0", "--domain", "0:1.5"]
+        assert main([*argv, "--trials", trials]) == EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: bayes --m 0") and "--trials must be 1" in line
+        assert RunConfig(command="bayes", m=0, trials=1, domain=(0.0, 1.5)).validate()
+
+
+#: probe specs with a key their kind does not read, and (kind, key) the error names
+UNREAD_PROBE_KEYS = {
+    "config-typo": ({"probe": {"kind": "css", "polra": 0.3}}, [], ("css", "polra")),
+    "flag-that-does-not-apply": ({}, ["--probe", "twin-fock", "--polar", "0.3"],
+                                 ("twin-fock", "polar")),
+    "fock-flag-on-a-config-probe": ({"probe": {"kind": "ghz", "axis": "z"}}, ["--mu", "1"],
+                                    ("ghz", "mu")),
+    "nested-component-probe": ({"probe": {"kind": "mix-spec", "components": [
+        {"weight": 0.5, "probe": {"kind": "noon"}},
+        {"weight": 0.5, "probe": {"kind": "noon", "mu": 1}}]}}, [], ("noon", "mu")),
+    "nested-component": ({"probe": {"kind": "mix-spec", "components": [
+        {"weight": 1.0, "probe": {"kind": "noon"}, "wieght": 1.0}]}}, [],
+        ("mix-spec component", "wieght")),
+}
+
+
+@pytest.mark.parametrize("case", list(UNREAD_PROBE_KEYS))
+def test_probe_key_its_kind_does_not_read_exits_2(tmp_path, capsys, nothing_built, case):
+    values, flags, (kind, key) = UNREAD_PROBE_KEYS[case]
+    config_file = tmp_path / "probe.json"
+    config_file.write_text(json.dumps({"n_particles": 4, **values}))
+    assert main(["qfi", "--config", str(config_file), *flags]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and kind in line and repr(key) in line, line
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "fock", "mu": 1}, {"kind": "css", "polar": 1.0, "azimuth": 0.2},
+    {"kind": "ghz", "axis": "x"}, {"kind": "noon"}, {"kind": "twin-fock"},
+    {"kind": "mix-spec", "components": [{"weight": 1.0, "probe": {"kind": "css",
+                                                                  "polar": 1.0}}]},
+])
+def test_every_key_a_probe_kind_reads_is_accepted(spec):
+    assert RunConfig(command="qfi", n_particles=4, probe=spec).validate().probe == spec
 
 
 #: every (command, requirement) pair, with the flag that meets the requirement

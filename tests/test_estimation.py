@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -16,7 +15,7 @@ from spinmetro.estimation import (BAYES_GRID, BorderSupportError, DomainError,
                                   philox_stream, posterior_summaries, sample)
 from spinmetro.fisher import (ProbabilityModel, fisher_information,
                               povm_number_counting)
-from spinmetro.reporting import write_posterior_csv, write_trials_csv
+from spinmetro.reporting import csv_text, posterior_table, trial_table
 from spinmetro.spins import SpinSpace
 from spinmetro.states import coherent_spin, fock, spin_polarized
 
@@ -302,12 +301,10 @@ class TestMleMonteCarlo:
         with pytest.raises(ValueError, match="trials must be"):
             harness(qubit_model, 0.6, 50, trials, 3, domain=(0.0, math.pi))
 
-    def test_trials_csv_export(self, qubit_model, tmp_path):
+    def test_trials_csv_export(self, qubit_model):
         rep = mle_monte_carlo(qubit_model, 0.8, m=30, trials=5, seed=3,
                               domain=(0.0, math.pi))
-        path = tmp_path / "trials.csv"
-        write_trials_csv(rep, path)
-        lines = path.read_text().splitlines()
+        lines = csv_text(*trial_table(rep.estimates)).splitlines()
         assert lines[0] == "trial,estimate"
         assert len(lines) == 6
         assert float(lines[1].split(",")[1]) == pytest.approx(rep.estimates[0])
@@ -404,11 +401,9 @@ class TestBayes:
         assert np.array_equal(rep.first_posterior.density, post.density)
         assert rep.estimates[0] == posterior_summaries(post).mean
 
-    def test_posterior_csv_export(self, qubit_model, tmp_path):
+    def test_posterior_csv_export(self, qubit_model):
         post = bayes_posterior(qubit_model, [1, 2], domain=(0.0, math.pi))
-        buf = io.StringIO()
-        write_posterior_csv(post, buf)
-        lines = buf.getvalue().splitlines()
+        lines = csv_text(*posterior_table(post)).splitlines()
         assert lines[0] == "grid_phi,posterior_density"
         assert len(lines) == BAYES_GRID + 1
 

@@ -515,7 +515,6 @@ class TestBounds:
         assert bound_shot_noise(1, 3) == bound_heisenberg(1, 3)
 
     def test_h_range_and_validation(self):
-        assert bound_shot_noise(4, 1, h_range=2.0) == pytest.approx(0.25)
         with pytest.raises(ValueError):
             bound_shot_noise(0, 1)
 
